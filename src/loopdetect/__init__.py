@@ -46,7 +46,6 @@ from .simulator import (
     TraceStep,
     build_chain,
     build_rho,
-    hop_limit_baseline,
     inject_duplicate,
     random_functional_graph,
     simulate,
@@ -88,7 +87,6 @@ __all__ = [
     "decode",
     "encode",
     "floyd_detect",
-    "hop_limit_baseline",
     "initialize_packet",
     "inject_duplicate",
     "is_power_of_two",

@@ -12,7 +12,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .reference import CycleStructure, predict_detection_hop
-from .simulator import hop_limit_baseline
 
 
 class CollisionQuery(NamedTuple):
@@ -114,13 +113,16 @@ def latency_table(
     """Detection hop of the in-band scheme vs a hop-limit baseline.
 
     ``brent_hop`` comes from the closed-form predictor; callers that emit
-    tables externally should cross-check it against a live simulation.
+    tables externally should cross-check it against a live simulation. A
+    pure hop-limit scheme halts a looping packet exactly at ``ttl``,
+    whatever the loop's shape.
     """
+    if ttl < 1:
+        raise ValueError("ttl must be >= 1")
     rows = []
     for case in cases:
         brent_hop = predict_detection_hop(case)
-        ttl_hop = hop_limit_baseline(case, ttl)
-        rows.append(LatencyRow(case.mu, case.lam, brent_hop, ttl_hop, ttl_hop / brent_hop))
+        rows.append(LatencyRow(case.mu, case.lam, brent_hop, ttl, ttl / brent_hop))
     return rows
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: simulation traces, collision tables, latency
 tables, and header encode/decode, all as deterministic CSV/text.
 
-Exit codes: 0 success, 2 simulation budget exhausted or hop overflow,
+Exit codes: 0 success, 2 simulation budget exhausted or hop overflow
+(for latency: the loop lies past the hop-counter horizon),
 3 internal invariant breach (predictor disagrees with simulation),
 64 usage error, 65 malformed input data. Randomized subcommands take a
 seed (defaulted if omitted) and echo it, so every output is replayable.
@@ -12,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, codec, simulator
-from .core import LoopHeader
+from .core import MAX_HOPS, LoopHeader
 from .reference import CycleStructure
 
 EX_OK = 0
@@ -49,44 +50,44 @@ class _UsageError(Exception):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopdetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output here instead of stdout")
 
-    p_sim = sub.add_parser("simulate", help="forward one packet and print its trace")
+    p_sim = sub.add_parser("simulate", parents=[out],
+                           help="forward one packet and print its trace")
     p_sim.add_argument("--mu", type=int, help="tail length of a rho topology")
     p_sim.add_argument("--lambda", dest="lam", type=int, help="cycle length of a rho topology")
     p_sim.add_argument("--chain", type=int, help="loop-free chain of this many nodes")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="node-id seed (default 0)")
     p_sim.add_argument("--max-hops", type=int, default=None, help="hop budget (default 4*(n+1))")
-    p_sim.add_argument("--out", help="write output here instead of stdout")
     p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_col = sub.add_parser("collisions", help="node-id collision probability grid")
+    p_col = sub.add_parser("collisions", parents=[out],
+                           help="node-id collision probability grid")
     p_col.add_argument("--bits", type=int, nargs="+", default=list(analysis.DEFAULT_ID_BITS),
                        help="id widths in bits")
     p_col.add_argument("--lengths", type=int, nargs="+",
                        default=list(analysis.DEFAULT_PATH_LENGTHS), help="path lengths")
-    p_col.add_argument("--out", help="write output here instead of stdout")
     p_col.set_defaults(handler=_cmd_collisions)
 
-    p_lat = sub.add_parser("latency", help="detection hop vs hop-limit baseline")
+    p_lat = sub.add_parser("latency", parents=[out],
+                           help="detection hop vs hop-limit baseline")
     p_lat.add_argument("--mu", type=int, required=True, help="tail length")
     p_lat.add_argument("--lambda", dest="lam", type=int, required=True, help="cycle length")
     p_lat.add_argument("--ttl", type=int, default=DEFAULT_TTL, help="baseline hop limit")
-    p_lat.add_argument("--out", help="write output here instead of stdout")
     p_lat.set_defaults(handler=_cmd_latency)
 
     p_hdr = sub.add_parser("header", help="encode or decode the 14-byte wire header")
     hdr_sub = p_hdr.add_subparsers(dest="mode", required=True)
 
-    p_enc = hdr_sub.add_parser("encode")
+    p_enc = hdr_sub.add_parser("encode", parents=[out])
     p_enc.add_argument("--tortoise", type=_int_any_base, default=0)
     p_enc.add_argument("--hops", type=_int_any_base, default=0)
     p_enc.add_argument("--nonce", type=_int_any_base, default=0)
-    p_enc.add_argument("--out", help="write output here instead of stdout")
     p_enc.set_defaults(handler=_cmd_header_encode)
 
-    p_dec = hdr_sub.add_parser("decode")
+    p_dec = hdr_sub.add_parser("decode", parents=[out])
     p_dec.add_argument("hex", help="header as hex, at least 28 chars")
-    p_dec.add_argument("--out", help="write output here instead of stdout")
     p_dec.set_defaults(handler=_cmd_header_decode)
 
     return parser
@@ -136,10 +137,19 @@ def _cmd_latency(args) -> int:
     # never emit a predicted hop that a live run does not reproduce
     graph = simulator.build_rho(case.mu, case.lam, seed=DEFAULT_SEED)
     trace = simulator.simulate(graph, 0)
-    if trace.outcome is not simulator.Outcome.DETECTED or trace.at_hop != rows[0].brent_hop:
+    predicted = rows[0].brent_hop
+    if predicted > MAX_HOPS and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
+        print(
+            f"loopdetect: mu={case.mu} lambda={case.lam} is past the hop-counter "
+            f"horizon: detection needs hop {predicted} > {MAX_HOPS}, so the "
+            "packet expires by hop overflow first",
+            file=sys.stderr,
+        )
+        return EX_RUNTIME
+    if trace.outcome is not simulator.Outcome.DETECTED or trace.at_hop != predicted:
         print(
             f"loopdetect: predictor/simulation mismatch for mu={case.mu} "
-            f"lambda={case.lam}: predicted {rows[0].brent_hop}, "
+            f"lambda={case.lam}: predicted {predicted}, "
             f"simulated {trace.outcome.value}({trace.at_hop})",
             file=sys.stderr,
         )

@@ -17,6 +17,9 @@ from .vid import MAX_NONCE
 
 HEADER_LEN = 14
 _LAYOUT = struct.Struct(">QHI")
+_pack = _LAYOUT.pack
+_unpack_from = _LAYOUT.unpack_from
+_new = tuple.__new__
 
 
 class Truncated(ValueError):
@@ -25,13 +28,19 @@ class Truncated(ValueError):
 
 def encode(header: LoopHeader, nonce: int) -> bytes:
     """Pack a header and nonce into the 14-byte wire form."""
-    if not 0 <= header.tortoise <= MAX_NODE_ID:
-        raise ValueError(f"tortoise out of range: {header.tortoise!r}")
-    if not 0 <= header.hops <= MAX_HOPS:
-        raise ValueError(f"hops out of range: {header.hops!r}")
-    if not 0 <= nonce <= MAX_NONCE:
-        raise ValueError(f"nonce out of range: {nonce!r}")
-    return _LAYOUT.pack(header.tortoise, header.hops, nonce)
+    tortoise, hops = header
+    try:
+        # struct range-checks every field; the checks below only name the
+        # offending one
+        return _pack(tortoise, hops, nonce)
+    except struct.error:
+        if not 0 <= tortoise <= MAX_NODE_ID:
+            raise ValueError(f"tortoise out of range: {tortoise!r}") from None
+        if not 0 <= hops <= MAX_HOPS:
+            raise ValueError(f"hops out of range: {hops!r}") from None
+        if not 0 <= nonce <= MAX_NONCE:
+            raise ValueError(f"nonce out of range: {nonce!r}") from None
+        raise
 
 
 def decode(wire: bytes) -> tuple[LoopHeader, int]:
@@ -39,5 +48,5 @@ def decode(wire: bytes) -> tuple[LoopHeader, int]:
     and are not consumed."""
     if len(wire) < HEADER_LEN:
         raise Truncated(f"need {HEADER_LEN} bytes, got {len(wire)}")
-    tortoise, hops, nonce = _LAYOUT.unpack_from(wire, 0)
-    return LoopHeader(tortoise, hops), nonce
+    tortoise, hops, nonce = _unpack_from(wire)
+    return _new(LoopHeader, (tortoise, hops)), nonce

@@ -41,13 +41,17 @@ class ReceiveOutcome(NamedTuple):
     updated_header: LoopHeader | None
 
 
+_DETECTED = ReceiveOutcome(True, None)
+_new = tuple.__new__
+
+
 def is_power_of_two(hops: int) -> bool:
     """True iff ``hops`` is one of 1, 2, 4, ..., 32768.
 
     The bit trick ``hops & (hops - 1) == 0`` alone would classify 0 as a
     power of two; 0 is defined false so the predicate is total for external
-    callers. The receive path never evaluates it at 0 because the hop count
-    is incremented before the test.
+    callers. receive_packet inlines the bare trick, which is exact there
+    because the hop count is incremented before the test.
     """
     return hops != 0 and (hops & (hops - 1)) == 0
 
@@ -71,15 +75,19 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     a detected loop means drop, log, or signal upstream is forwarding
     policy and out of scope here.
     """
-    _check_node_id(receiver)
-    if header.hops >= MAX_HOPS:
-        raise HopOverflow(f"hop counter saturated at {header.hops}")
-    hops = header.hops + 1
-    if header.tortoise == receiver:
-        return ReceiveOutcome(True, None)
-    if is_power_of_two(hops):
-        return ReceiveOutcome(False, LoopHeader(receiver, hops))
-    return ReceiveOutcome(False, LoopHeader(header.tortoise, hops))
+    if not 0 <= receiver <= MAX_NODE_ID:
+        raise ValueError(f"node id out of range: {receiver!r}")
+    tortoise, hops = header
+    if hops >= MAX_HOPS:
+        raise HopOverflow(f"hop counter saturated at {hops}")
+    if tortoise == receiver:
+        return _DETECTED
+    hops += 1
+    if not hops & (hops - 1):
+        tortoise = receiver
+    # tuple.__new__ skips the Python-level NamedTuple constructors; this
+    # runs once per forwarded hop
+    return _new(ReceiveOutcome, (False, _new(LoopHeader, (tortoise, hops))))
 
 
 def _check_node_id(value: int) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import MAX_NODE_ID, HopOverflow, initialize_packet, is_power_of_two, receive_packet
+from .core import MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
 
 
 class BadArity(ValueError):
@@ -69,6 +69,9 @@ class TraceStep(NamedTuple):
     node: int
     tortoise_after: int
     snapshot_taken: bool
+
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -179,8 +182,12 @@ def simulate(
         raise ValueError("max_hops must be >= 1")
     ids = graph.ids
     succ = graph.succ
+    # the module global, read per run, so a wrapped receive_packet is seen
+    receive = receive_packet
     header = initialize_packet(ids[start])
+    tortoise = header.tortoise
     steps: list[TraceStep] = []
+    append = steps.append
     pos = start
     for hop in range(1, max_hops + 1):
         nxt = succ[pos]
@@ -188,29 +195,19 @@ def simulate(
             return SimTrace(tuple(steps), Outcome.TERMINATED, hop)
         node_id = ids[nxt]
         try:
-            detected, updated = receive_packet(header, node_id)
+            detected, header = receive(header, node_id)
         except HopOverflow:
             return SimTrace(tuple(steps), Outcome.HOP_OVERFLOW, None)
         if detected:
-            steps.append(TraceStep(hop, node_id, header.tortoise, False))
+            append(_new(TraceStep, (hop, node_id, tortoise, False)))
             return SimTrace(tuple(steps), Outcome.DETECTED, hop)
-        header = updated
-        steps.append(TraceStep(hop, node_id, header.tortoise, is_power_of_two(hop)))
+        # a snapshot is exactly a tortoise change: on a power-of-two hop the
+        # receiver differs from the old tortoise, or it was detected above
+        snapshot = header[0]
+        append(_new(TraceStep, (hop, node_id, snapshot, snapshot != tortoise)))
+        tortoise = snapshot
         pos = nxt
     return SimTrace(tuple(steps), Outcome.BUDGET_EXHAUSTED, None)
-
-
-def hop_limit_baseline(structure, ttl: int) -> int:
-    """Hop at which a pure hop-limit scheme halts a looping packet.
-
-    The packet loops until the budget is spent, so the answer is exactly
-    ``ttl`` regardless of the loop's shape.
-    """
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    if structure.lam < 1:
-        raise ValueError("cycle length must be >= 1")
-    return ttl
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
@@ -220,16 +217,12 @@ def trace_csv(trace: SimTrace) -> str:
     """Render a trace as CSV, one row per step; the final row carries the
     outcome. Node ids print as 16-digit lowercase hex."""
     label = _outcome_label(trace)
-    lines = [TRACE_CSV_HEADER]
     if not trace.steps:
-        lines.append(f",,,,{label}")
-    last = len(trace.steps) - 1
-    for i, step in enumerate(trace.steps):
-        lines.append(
-            f"{step.hop},{step.node:016x},{step.tortoise_after:016x},"
-            f"{int(step.snapshot_taken)},{label if i == last else ''}"
-        )
-    return "\n".join(lines) + "\n"
+        return f"{TRACE_CSV_HEADER}\n,,,,{label}\n"
+    # %-formatting takes each TraceStep tuple whole; %d prints a bool as 0/1
+    rows = ["%d,%016x,%016x,%d," % step for step in trace.steps]
+    rows[-1] += label
+    return TRACE_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
 def _outcome_label(trace: SimTrace) -> str:
@@ -245,6 +238,8 @@ def _resolve_ids(
         explicit = tuple(ids)
         if len(explicit) != n:
             raise BadArity(f"need {n} ids, got {len(explicit)}")
+        if len(set(explicit)) != n:
+            raise ValueError("explicit ids must be distinct; use inject_duplicate")
         return explicit
     return tuple(_draw_distinct_ids(random.Random(seed), n))
 

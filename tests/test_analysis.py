@@ -142,6 +142,11 @@ def test_latency_table_rows():
     assert rows[2].ratio < 1
 
 
+def test_latency_table_rejects_ttl_below_one():
+    with pytest.raises(ValueError):
+        latency_table([CycleStructure(0, 1)], 0)
+
+
 def test_latency_csv_format():
     text = latency_csv(latency_table([CycleStructure(2, 4)], 255))
     assert text == "mu,lambda,brent_hop,ttl_hop,ratio\n2,4,8,255,31.875\n"

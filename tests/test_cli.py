@@ -98,6 +98,23 @@ def test_latency_ttl_favorable_case(capsys):
     assert out.splitlines()[1] == "0,255,511,255,0.499021526419"
 
 
+def test_latency_just_inside_hop_counter_horizon(capsys):
+    # detection at 32768 + 32767 = MAX_HOPS, the last hop the counter holds
+    code, out, _ = run(capsys, "latency", "--mu", "0", "--lambda", "32767")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0,32767,65535,255,")
+
+
+@pytest.mark.parametrize("lam", ["32768", "40000"])
+def test_latency_past_hop_counter_horizon_exits_2(tmp_path, capsys, lam):
+    target = tmp_path / "latency.csv"
+    code, out, err = run(capsys, "latency", "--mu", "0", "--lambda", lam, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err
+    assert not target.exists()
+
+
 def test_header_encode_zeros(capsys):
     code, out, _ = run(capsys, "header", "encode")
     assert code == 0

@@ -28,6 +28,12 @@ def test_decode_all_zero():
     assert decode(b"\x00" * 14) == (LoopHeader(0, 0), 0)
 
 
+def test_decode_returns_a_loop_header():
+    header, _ = decode(PINNED_WIRE)
+    assert type(header) is LoopHeader
+    assert header.tortoise == 0x0102030405060708 and header.hops == 0x090A
+
+
 @pytest.mark.parametrize("length", [0, 1, 13])
 def test_decode_truncated(length):
     with pytest.raises(Truncated):
@@ -82,5 +88,7 @@ def test_roundtrip_property(tortoise, hops, nonce):
     ],
 )
 def test_encode_rejects_out_of_range(tortoise, hops, nonce):
-    with pytest.raises(ValueError):
+    fields = (("tortoise", tortoise, 2**64), ("hops", hops, 2**16), ("nonce", nonce, 2**32))
+    field = next(name for name, value, bound in fields if not 0 <= value < bound)
+    with pytest.raises(ValueError, match=f"^{field} out of range"):
         encode(LoopHeader(tortoise, hops), nonce)

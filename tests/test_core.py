@@ -7,6 +7,7 @@ from loopdetect import (
     MAX_NODE_ID,
     HopOverflow,
     LoopHeader,
+    ReceiveOutcome,
     initialize_packet,
     is_power_of_two,
     receive_packet,
@@ -44,6 +45,20 @@ def test_receive_keeps_tortoise_off_schedule():
     outcome = receive_packet(LoopHeader(tortoise=1, hops=2), receiver=2)
     assert not outcome.loop_detected
     assert outcome.updated_header == LoopHeader(tortoise=1, hops=3)
+
+
+@pytest.mark.parametrize("receiver", [-1, MAX_NODE_ID + 1])
+def test_receive_rejects_out_of_range_receiver(receiver):
+    with pytest.raises(ValueError, match="node id out of range"):
+        receive_packet(LoopHeader(tortoise=1, hops=0), receiver)
+
+
+@pytest.mark.parametrize("header,receiver", [(LoopHeader(5, 0), 5), (LoopHeader(1, 1), 2)])
+def test_receive_returns_named_types(header, receiver):
+    outcome = receive_packet(header, receiver)
+    assert type(outcome) is ReceiveOutcome
+    updated = outcome.updated_header
+    assert updated is None or type(updated) is LoopHeader
 
 
 def test_receive_overflow_at_saturated_counter():

@@ -6,9 +6,9 @@ from loopdetect import (
     CycleStructure,
     FunctionalGraph,
     Outcome,
+    TraceStep,
     build_chain,
     build_rho,
-    hop_limit_baseline,
     inject_duplicate,
     is_power_of_two,
     random_functional_graph,
@@ -37,6 +37,14 @@ def test_build_rho_seed_determinism():
 def test_build_rho_arity_mismatch():
     with pytest.raises(BadArity):
         build_rho(2, 3, ids=[1, 2, 3])
+
+
+def test_builders_reject_duplicate_explicit_ids():
+    # deliberate duplicates go through inject_duplicate
+    with pytest.raises(ValueError, match="distinct"):
+        build_rho(1, 2, ids=[4, 5, 4])
+    with pytest.raises(ValueError, match="distinct"):
+        build_chain(3, ids=[7, 7, 8])
 
 
 def test_build_rho_rejects_bad_shape():
@@ -127,10 +135,20 @@ def test_trace_structure_invariants():
     hops = [step.hop for step in trace.steps]
     assert hops == list(range(1, len(trace.steps) + 1))
     for step in trace.steps[:-1]:
-        assert step.snapshot_taken == is_power_of_two(step.hop)
+        assert step.snapshot_taken is is_power_of_two(step.hop)
     assert trace.outcome is Outcome.DETECTED
     assert len(trace.steps) == trace.at_hop
     assert trace.steps[-1].snapshot_taken is False
+    assert all(type(step) is TraceStep for step in trace.steps)
+
+    chain = simulate(build_chain(40, ids=range(40)), 0)
+    assert chain.outcome is Outcome.TERMINATED
+    # position 2's id is no longer the tortoise when its duplicate at 100 is reached
+    duplicate = simulate(inject_duplicate(build_chain(128, ids=range(1000, 1128)), 2, 100), 0)
+    assert duplicate.outcome is Outcome.TERMINATED
+    for other in (chain, duplicate):
+        for step in other.steps[:-1]:
+            assert step.snapshot_taken is is_power_of_two(step.hop)
 
 
 def test_simulate_determinism():
@@ -205,19 +223,6 @@ def test_duplicate_outside_snapshot_window_is_harmless():
     graph = inject_duplicate(build_chain(128, ids=range(1000, 1128)), 2, 100)
     trace = simulate(graph, 0)
     assert trace.outcome is Outcome.TERMINATED
-
-
-@pytest.mark.parametrize(
-    "mu,lam,ttl",
-    [(0, 1, 255), (2, 4, 64), (0, 1, 1)],
-)
-def test_hop_limit_baseline_is_the_ttl(mu, lam, ttl):
-    assert hop_limit_baseline(CycleStructure(mu, lam), ttl) == ttl
-
-
-def test_hop_limit_baseline_validation():
-    with pytest.raises(ValueError):
-        hop_limit_baseline(CycleStructure(0, 1), 0)
 
 
 def test_trace_csv_golden():
