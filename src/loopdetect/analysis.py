@@ -43,21 +43,66 @@ COLLISION_CSV_HEADER = "id_bits,path_length,p_exact,p_approx"
 LATENCY_CSV_HEADER = "mu,lambda,brent_hop,ttl_hop,ratio"
 
 
-def collision_probability_exact(query: CollisionQuery) -> float:
-    """P(two or more of n uniform b-bit ids coincide), exact.
+# past n(n-1) > 80 * 2**b, 1 - p < exp(-40) and p rounds to 1.0
+_SATURATION_PAIRS = 80
+# up to this width the per-term sum is short and Euler-Maclaurin's step s
+# is too coarse for three corrections
+_TERMWISE_MAX_BITS = 8
+# (2i - 1, -B_2i / (2i (2i - 1))) for the Bernoulli numbers B_2, B_4, B_6
+_EULER_MACLAURIN = ((1, -1 / 12), (3, 1 / 360), (5, -1 / 1260))
 
-    Computes 1 - prod_{k=1}^{n-1} (1 - k / 2**b) as a log1p sum; the
-    direct product underflows for large n at large b. Returns exactly 1
-    when n exceeds the id space (pigeonhole).
+
+def collision_probability_exact(query: CollisionQuery) -> float:
+    """P(two or more of n uniform b-bit ids coincide), exact to a few ulps.
+
+    With s = 2**-b, 1 - p is prod_{k=1}^{n-1} (1 - k s). The cost of one
+    call does not depend on n:
+
+    - n = 1 gives 0 and n > 2**b gives exactly 1 (pigeonhole).
+    - n(n-1) > 80 * 2**b gives 1.0: then 1 - p < exp(-n(n-1) s / 2)
+      < exp(-40), less than half an ulp of 1.
+    - b <= 8 sums log1p(-k s) term by term; the cut above leaves n < 144.
+    - Otherwise x = (n-1) s is below 0.4 and the log of the product comes
+      in closed form from Euler-Maclaurin (see ``_log_no_dup``).
     """
     n, b = _checked(query)
-    if n > 2**b:
+    if n == 1:
+        return 0.0
+    if n > 2**b or n * (n - 1) > _SATURATION_PAIRS << b:
         return 1.0
     scale = math.ldexp(1.0, -b)
-    log_no_dup = math.fsum(math.log1p(-k * scale) for k in range(1, n))
+    if b <= _TERMWISE_MAX_BITS:
+        log_no_dup = math.fsum(math.log1p(-k * scale) for k in range(1, n))
+    else:
+        log_no_dup = _log_no_dup(n - 1, scale)
     p = -math.expm1(log_no_dup)
     assert 0.0 <= p <= 1.0
     return p
+
+
+def _log_no_dup(m: int, s: float) -> float:
+    """sum_{k=1}^{m} log1p(-k s) for s <= 2**-9 and x = m s < 1/2.
+
+    Euler-Maclaurin on f(t) = log1p(-t s) over [0, m]. The integral is
+    -(1/s) sum_{j>=2} x**j / (j (j-1)), a series whose terms at least
+    halve, so it needs no cancelling (1-x) log(1-x) + x. Add the endpoint
+    f(m)/2 and the corrections -B_2i / (2i (2i-1)) s**(2i-1)
+    ((1-x)**-(2i-1) - 1) for i <= 3; the remainder is then below 2**-70
+    of the sum.
+    """
+    x = m * s
+    log_rest = math.log1p(-x)
+    terms = [log_rest / 2]
+    power = x  # x**(j-1)
+    for j in range(2, 64):
+        term = power / (j * (j - 1))
+        terms.append(-m * term)
+        # the tail is at most the last term, here 2**-56 of the first
+        if term <= x * 2.0**-57:
+            break
+        power *= x
+    terms.extend(c * s**k * math.expm1(-k * log_rest) for k, c in _EULER_MACLAURIN)
+    return math.fsum(terms)
 
 
 def collision_probability_approx(query: CollisionQuery) -> float:

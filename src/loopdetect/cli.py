@@ -39,7 +39,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.handler(args)
     except _UsageError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))  # the subcommand's own usage
         raise AssertionError("unreachable")  # parser.error always exits
 
 
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--chain", type=int, help="loop-free chain of this many nodes")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="node-id seed (default 0)")
     p_sim.add_argument("--max-hops", type=int, default=None, help="hop budget (default 4*(n+1))")
-    p_sim.set_defaults(handler=_cmd_simulate)
+    p_sim.set_defaults(handler=_cmd_simulate, parser=p_sim)
 
     p_col = sub.add_parser("collisions", parents=[out],
                            help="node-id collision probability grid")
@@ -68,14 +68,14 @@ def _build_parser() -> _Parser:
                        help="id widths in bits")
     p_col.add_argument("--lengths", type=int, nargs="+",
                        default=list(analysis.DEFAULT_PATH_LENGTHS), help="path lengths")
-    p_col.set_defaults(handler=_cmd_collisions)
+    p_col.set_defaults(handler=_cmd_collisions, parser=p_col)
 
     p_lat = sub.add_parser("latency", parents=[out],
                            help="detection hop vs hop-limit baseline")
     p_lat.add_argument("--mu", type=int, required=True, help="tail length")
     p_lat.add_argument("--lambda", dest="lam", type=int, required=True, help="cycle length")
     p_lat.add_argument("--ttl", type=int, default=DEFAULT_TTL, help="baseline hop limit")
-    p_lat.set_defaults(handler=_cmd_latency)
+    p_lat.set_defaults(handler=_cmd_latency, parser=p_lat)
 
     p_hdr = sub.add_parser("header", help="encode or decode the 14-byte wire header")
     hdr_sub = p_hdr.add_subparsers(dest="mode", required=True)
@@ -84,11 +84,11 @@ def _build_parser() -> _Parser:
     p_enc.add_argument("--tortoise", type=_int_any_base, default=0)
     p_enc.add_argument("--hops", type=_int_any_base, default=0)
     p_enc.add_argument("--nonce", type=_int_any_base, default=0)
-    p_enc.set_defaults(handler=_cmd_header_encode)
+    p_enc.set_defaults(handler=_cmd_header_encode, parser=p_enc)
 
     p_dec = hdr_sub.add_parser("decode", parents=[out])
     p_dec.add_argument("hex", help="header as hex, at least 28 chars")
-    p_dec.set_defaults(handler=_cmd_header_decode)
+    p_dec.set_defaults(handler=_cmd_header_decode, parser=p_dec)
 
     return parser
 

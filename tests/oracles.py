@@ -4,7 +4,8 @@ Nothing in here imports the package under test. The SHA-256 here is a
 from-scratch implementation with its round constants derived by integer
 root extraction (no transcribed tables) and is itself checked against the
 two published NIST vectors before anything trusts it. The collision
-probability is computed in exact big-integer arithmetic.
+probability is computed in exact big-integer arithmetic, and, for path
+lengths too long for that, as a plain term-by-term log1p sum.
 """
 
 import math
@@ -90,6 +91,15 @@ def exact_collision_fraction(path_length: int, id_bits: int) -> Fraction:
     for k in range(path_length):
         no_dup_numerator *= space - k
     return 1 - Fraction(no_dup_numerator, space**path_length)
+
+
+def log_sum_collision_probability(path_length: int, id_bits: int) -> float:
+    """The same probability as 1 - exp(sum_{k<path_length} log1p(-k/2**id_bits)),
+    summed term by term with fsum: O(path_length), accurate to a few ulps."""
+    if path_length > 1 << id_bits:
+        return 1.0
+    scale = math.ldexp(1.0, -id_bits)
+    return -math.expm1(math.fsum(math.log1p(-k * scale) for k in range(1, path_length)))
 
 
 def naive_is_power_of_two(value: int) -> bool:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -14,14 +15,17 @@ from loopdetect import (
     latency_csv,
     latency_table,
 )
-from oracles import exact_collision_fraction
+from oracles import exact_collision_fraction, log_sum_collision_probability
 
 # frozen from the big-integer oracle in oracles.py
 P_EXACT_8192_32 = 0.0077811204140481012
 
 
 def test_exact_single_id_cannot_collide():
-    assert collision_probability_exact(CollisionQuery(1, 32)) == 0.0
+    for bits in (1, 8, 9, 32, 128):
+        p = collision_probability_exact(CollisionQuery(1, bits))
+        assert p == 0.0
+        assert math.copysign(1.0, p) == 1.0  # prints as 0, not -0
 
 
 def test_exact_two_coin_flips():
@@ -36,7 +40,7 @@ def test_exact_pigeonhole_is_certain():
 def test_exact_pinned_one_percent_point():
     p = collision_probability_exact(CollisionQuery(8192, 32))
     assert 0.005 <= p <= 0.015
-    assert p == pytest.approx(P_EXACT_8192_32, abs=1e-15)
+    assert p == pytest.approx(P_EXACT_8192_32, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("bits", [8, 16, 32])
@@ -45,6 +49,51 @@ def test_exact_matches_big_integer_oracle(bits, length):
     want = float(exact_collision_fraction(length, bits))
     got = collision_probability_exact(CollisionQuery(length, bits))
     assert got == pytest.approx(want, abs=1e-15)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _saturation_cut(bits):
+    # smallest n with n(n-1) > 80 * 2**bits, where p is rounded to 1.0
+    n = math.isqrt(80 << bits)
+    while n * (n - 1) <= 80 << bits:
+        n += 1
+    return n
+
+
+def _branch_grid(bits):
+    half, cut = 1 << (bits - 1), _saturation_cut(bits)
+    return sorted({1, 2, 3, 255, 256, 257, half - 1, half, half + 1, cut - 1, cut, cut + 1})
+
+
+@pytest.mark.parametrize("bits", [*range(1, 10), 16, 24, 32, 48, 64, 128])
+def test_exact_relative_error_across_branches(bits):
+    # pigeonhole, saturation cut, term-by-term widths and the closed form,
+    # each on both sides of its boundary
+    for length in _branch_grid(bits):
+        if 1 <= length <= 4096:
+            want = float(exact_collision_fraction(length, bits))
+            got = collision_probability_exact(CollisionQuery(length, bits))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), length
+
+
+@pytest.mark.parametrize("bits", [24, 32, 48, 64, 128])
+def test_exact_relative_error_long_paths(bits):
+    lengths = {4097, 2**16 + 1, 2**20}
+    lengths.update(n for n in _branch_grid(bits) if 4096 < n <= 2**20)
+    for length in sorted(lengths):
+        want = log_sum_collision_probability(length, bits)
+        got = collision_probability_exact(CollisionQuery(length, bits))
+        assert got == pytest.approx(want, rel=1e-13, abs=0), length
+
+
+@pytest.mark.parametrize("query", [CollisionQuery(10**10, 64), CollisionQuery(2**127, 128)])
+def test_exact_runtime_does_not_grow_with_length(query):
+    # a term-by-term sum would run for half an hour at 10**10 ids and
+    # would never finish at 2**127
+    start = time.perf_counter()
+    p = collision_probability_exact(query)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < p <= 1.0
 
 
 def test_approx_single_id_is_zero():

@@ -1,6 +1,14 @@
+import hashlib
+import time
+
 import pytest
 
 from loopdetect.cli import main
+
+# SHA-256 of collision tables as the term-by-term log1p sum printed them:
+# a faster method must still print the same 12 digits in every cell
+COLLISIONS_DEFAULT_SHA256 = "a2b5e7710a83950be03cec8f7afc7145a4aca5f6836ea1e9d9e8cd86d804fc2d"
+COLLISIONS_32_8192_SHA256 = "a417e98254927abc83b67bb38488d0b518a4e208638c81274af0caa75196eb2c"
 
 
 def run(capsys, *argv):
@@ -67,6 +75,22 @@ def test_usage_errors_exit_64(capsys, argv):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["header", "encode", "--hops", "70000"], "usage: loopdetect header encode "),
+        (["simulate", "--chain", "0"], "usage: loopdetect simulate "),
+        (["collisions", "--bits", "0"], "usage: loopdetect collisions "),
+        (["latency", "--mu", "0", "--lambda", "0"], "usage: loopdetect latency "),
+    ],
+)
+def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.startswith(usage)
+
+
 def test_collisions_single_cell(capsys):
     code, out, _ = run(capsys, "collisions", "--bits", "32", "--lengths", "8192")
     assert code == 0
@@ -84,6 +108,28 @@ def test_collisions_default_grid(capsys):
 
 def test_collisions_deterministic(capsys):
     assert run(capsys, "collisions") == run(capsys, "collisions")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], COLLISIONS_DEFAULT_SHA256),
+        (["--bits", "32", "--lengths", "8192"], COLLISIONS_32_8192_SHA256),
+    ],
+)
+def test_collisions_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "collisions", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_collisions_runtime_does_not_grow_with_length(capsys):
+    # a term-by-term sum over 10**10 ids would take about half an hour
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "collisions", "--bits", "64", "--lengths", "10000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.splitlines()[1].startswith("64,10000000000,0.93349681458")
 
 
 def test_latency_row(capsys):
