@@ -6,9 +6,12 @@ Exit codes: 0 success, 2 simulation budget exhausted or hop overflow
 3 internal invariant breach (predictor disagrees with simulation),
 64 usage error, 65 malformed input data. Randomized subcommands take a
 seed (defaulted if omitted) and echo it, so every output is replayable.
+main() may be called repeatedly in one process: it builds its parser
+once, on the first call, and parses each call into a fresh namespace.
 """
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -47,6 +50,9 @@ class _UsageError(Exception):
     pass
 
 
+# one parser per process: parse_args returns a fresh namespace per call and
+# no default is a mutable container, so repeated main() calls can share it
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopdetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,10 +70,10 @@ def _build_parser() -> _Parser:
 
     p_col = sub.add_parser("collisions", parents=[out],
                            help="node-id collision probability grid")
-    p_col.add_argument("--bits", type=int, nargs="+", default=list(analysis.DEFAULT_ID_BITS),
+    p_col.add_argument("--bits", type=int, nargs="+", default=analysis.DEFAULT_ID_BITS,
                        help="id widths in bits")
     p_col.add_argument("--lengths", type=int, nargs="+",
-                       default=list(analysis.DEFAULT_PATH_LENGTHS), help="path lengths")
+                       default=analysis.DEFAULT_PATH_LENGTHS, help="path lengths")
     p_col.set_defaults(handler=_cmd_collisions, parser=p_col)
 
     p_lat = sub.add_parser("latency", parents=[out],

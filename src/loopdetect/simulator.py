@@ -12,9 +12,10 @@ parallel without synchronization.
 """
 
 import random
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
 
@@ -139,7 +140,7 @@ def random_functional_graph(
             succ.append(None)
         else:
             succ.append(rng.randrange(n))
-    return FunctionalGraph(tuple(_draw_distinct_ids(rng, n)), tuple(succ))
+    return FunctionalGraph(_draw_distinct_ids(rng, n), tuple(succ))
 
 
 def inject_duplicate(
@@ -241,15 +242,25 @@ def _resolve_ids(
         if len(set(explicit)) != n:
             raise ValueError("explicit ids must be distinct; use inject_duplicate")
         return explicit
-    return tuple(_draw_distinct_ids(random.Random(seed), n))
+    return _draw_distinct_ids(random.Random(seed), n)
 
 
-def _draw_distinct_ids(rng: random.Random, count: int) -> Iterable[int]:
-    drawn: list[int] = []
-    seen: set[int] = set()
+_ID_BLOCK = 1024  # ids per randbytes call: bounds the transient bytes and tuple
+
+
+def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:
+    """``count`` distinct 64-bit ids in the order of successive
+    ``getrandbits(64)`` calls, a repeated value skipped.
+
+    ``randbytes(8 * k)`` is ``getrandbits(64 * k)`` in little-endian order,
+    filled from its lowest 32-bit word up, so it yields exactly the values
+    of k successive ``getrandbits(64)`` calls. The dict keeps the first
+    draw of each value, and each refill asks only for the ids still
+    missing, so the generator uses up the same words as the one-at-a-time
+    loop and ends in the same state.
+    """
+    drawn: dict[int, None] = {}
     while len(drawn) < count:
-        value = rng.getrandbits(64)
-        if value not in seen:
-            seen.add(value)
-            drawn.append(value)
-    return drawn
+        k = min(count - len(drawn), _ID_BLOCK)
+        drawn.update(dict.fromkeys(struct.unpack(f"<{k}Q", rng.randbytes(8 * k))))
+    return tuple(drawn)

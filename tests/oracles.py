@@ -5,7 +5,8 @@ from-scratch implementation with its round constants derived by integer
 root extraction (no transcribed tables) and is itself checked against the
 two published NIST vectors before anything trusts it. The collision
 probability is computed in exact big-integer arithmetic, and, for path
-lengths too long for that, as a plain term-by-term log1p sum.
+lengths too long for that, as a plain term-by-term log1p sum. Seeded node
+ids are drawn one ``getrandbits(64)`` call at a time.
 """
 
 import math
@@ -100,6 +101,20 @@ def log_sum_collision_probability(path_length: int, id_bits: int) -> float:
         return 1.0
     scale = math.ldexp(1.0, -id_bits)
     return -math.expm1(math.fsum(math.log1p(-k * scale) for k in range(1, path_length)))
+
+
+def distinct_ids_one_at_a_time(rng, count: int) -> list:
+    """``count`` distinct 64-bit ids, one ``rng.getrandbits(64)`` call per
+    draw, a repeated value skipped: the order the builders' seeded ids
+    must follow, and the words of ``rng`` they must use up."""
+    drawn = []
+    seen = set()
+    while len(drawn) < count:
+        value = rng.getrandbits(64)
+        if value not in seen:
+            seen.add(value)
+            drawn.append(value)
+    return drawn
 
 
 def naive_is_power_of_two(value: int) -> bool:

@@ -3,12 +3,19 @@ import time
 
 import pytest
 
+from loopdetect import cli
 from loopdetect.cli import main
 
 # SHA-256 of collision tables as the term-by-term log1p sum printed them:
 # a faster method must still print the same 12 digits in every cell
 COLLISIONS_DEFAULT_SHA256 = "a2b5e7710a83950be03cec8f7afc7145a4aca5f6836ea1e9d9e8cd86d804fc2d"
 COLLISIONS_32_8192_SHA256 = "a417e98254927abc83b67bb38488d0b518a4e208638c81274af0caa75196eb2c"
+# SHA-256 of simulate traces as the one-getrandbits(64)-per-id draw printed
+# them: node ids come from the seed, so a changed draw changes these bytes
+SIMULATE_RHO_300_700_SEED_3_SHA256 = (
+    "232e5e6121e9e6e45cfe05401cb46e487d1fb517e60bc7b553493c7ca7a3d48d"
+)
+SIMULATE_CHAIN_500_SHA256 = "c6813338c2eff384ef9e3d6ec57b30ab10f0521d3b6e42948f841f395ce2655e"
 
 
 def run(capsys, *argv):
@@ -45,6 +52,19 @@ def test_simulate_is_deterministic(capsys):
     first = run(capsys, "simulate", "--mu", "2", "--lambda", "5", "--seed", "9")
     second = run(capsys, "simulate", "--mu", "2", "--lambda", "5", "--seed", "9")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--mu", "300", "--lambda", "700", "--seed", "3"], SIMULATE_RHO_300_700_SEED_3_SHA256),
+        (["--chain", "500"], SIMULATE_CHAIN_500_SHA256),
+    ],
+)
+def test_simulate_output_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "simulate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_seed_changes_ids(capsys):
@@ -229,3 +249,33 @@ def test_roundtrip_encode_decode_via_cli(capsys):
     assert "tortoise=0x" + format(12345678901234567890, "016x") in out
     assert "hops=0x0201" in out
     assert "nonce=0x0000002a" in out
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_collision_options_leave_no_state_in_the_shared_parser(capsys):
+    code, _, _ = run(capsys, "collisions", "--bits", "32", "--lengths", "8192")
+    assert code == 0
+    code, out, _ = run(capsys, "collisions")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COLLISIONS_DEFAULT_SHA256
+
+
+def test_hop_budget_does_not_carry_over_to_the_next_call(capsys):
+    code, _, _ = run(capsys, "simulate", "--chain", "5", "--max-hops", "2")
+    assert code == 2
+    code, out, _ = run(capsys, "simulate", "--chain", "5")
+    assert code == 0
+    assert out.splitlines()[-1].endswith(",terminated(5)")
+
+
+def test_valid_call_after_a_usage_error_succeeds(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["header", "encode", "--hops", "70000"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.startswith("usage: loopdetect header encode ")
+    code, out, _ = run(capsys, "header", "encode")
+    assert code == 0
+    assert out == "0" * 28 + "\n"

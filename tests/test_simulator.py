@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from loopdetect import (
@@ -16,6 +19,12 @@ from loopdetect import (
     trace_csv,
     visited_set_oracle,
 )
+from loopdetect.simulator import _draw_distinct_ids
+from oracles import distinct_ids_one_at_a_time
+
+# SHA-256 of repr(random_functional_graph(200, 0.1, seed=42).ids) as the
+# one-getrandbits(64)-per-id draw produced it: seeded ids are public results
+RANDOM_GRAPH_IDS_SHA256 = "f2d58f15d84169e00d2eca0fb22847c8fca921e0929e5494cfd5ad71d4ab1aea"
 
 
 def test_build_rho_self_loop():
@@ -85,6 +94,53 @@ def test_random_graph_determinism_and_distinct_ids():
     b = random_functional_graph(100, 0.0, seed=42)
     assert a == b
     assert len(set(a.ids)) == 100
+
+
+def test_random_graph_ids_pinned():
+    ids = random_functional_graph(200, 0.1, seed=42).ids
+    assert hashlib.sha256(repr(ids).encode()).hexdigest() == RANDOM_GRAPH_IDS_SHA256
+
+
+@pytest.mark.parametrize("count", [1, 2, 1023, 1024, 1025, 131070])
+def test_draw_distinct_ids_matches_one_at_a_time_reference(count):
+    rng, reference_rng = random.Random(count), random.Random(count)
+    assert list(_draw_distinct_ids(rng, count)) == distinct_ids_one_at_a_time(
+        reference_rng, count
+    )
+    # same words used up, so whatever draws from rng next is unchanged too
+    assert rng.getstate() == reference_rng.getstate()
+
+
+class _RepeatingWords:
+    """A fixed stream of 64-bit words, with many repeats, served one word per
+    getrandbits(64) call or as little-endian words through randbytes."""
+
+    def __init__(self, words):
+        self.words = words
+        self.used = 0
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.used += 1
+        return self.words[self.used - 1]
+
+    def randbytes(self, n):
+        assert n % 8 == 0
+        block = self.words[self.used : self.used + n // 8]
+        self.used += len(block)
+        return b"".join(word.to_bytes(8, "little") for word in block)
+
+
+@pytest.mark.parametrize("count", [2, 3, 1025, 2500])
+def test_draw_distinct_ids_skips_repeats_like_the_reference(count):
+    pick = random.Random(5)
+    pool = [(k * 0x9E3779B97F4A7C15) % 2**64 for k in range(3000)]
+    words = [pool[0]] * 3 + [pool[pick.randrange(3000)] for _ in range(40000)]
+    drawn, reference = _RepeatingWords(words), _RepeatingWords(words)
+    assert list(_draw_distinct_ids(drawn, count)) == distinct_ids_one_at_a_time(
+        reference, count
+    )
+    assert drawn.used == reference.used > count  # repeats were skipped
 
 
 def test_simulate_origin_self_loop_detected_at_one():
