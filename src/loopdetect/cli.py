@@ -4,8 +4,9 @@ tables, and header encode/decode, all as deterministic CSV/text.
 Exit codes: 0 success, 2 simulation budget exhausted or hop overflow
 (for latency: the loop lies past the hop-counter horizon),
 3 internal invariant breach (predictor disagrees with simulation),
-64 usage error, 65 malformed input data. Randomized subcommands take a
-seed (defaulted if omitted) and echo it, so every output is replayable.
+64 usage error, 65 malformed input data, 73 the --out file cannot be
+written. Randomized subcommands take a seed (defaulted if omitted) and
+echo it, so every output is replayable.
 main() may be called repeatedly in one process: it builds its parser
 once, on the first call, and parses each call into a fresh namespace.
 """
@@ -24,6 +25,7 @@ EX_RUNTIME = 2
 EX_INVARIANT = 3
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_CANTCREAT = 73
 
 DEFAULT_SEED = 0
 DEFAULT_TTL = 255
@@ -44,9 +46,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         args.parser.error(str(exc))  # the subcommand's own usage
         raise AssertionError("unreachable")  # parser.error always exits
+    except _CannotWrite as exc:
+        print(f"loopdetect: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _CannotWrite(Exception):
     pass
 
 
@@ -199,5 +208,8 @@ def _emit(out: Optional[str], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CannotWrite(f"cannot write {out}: {exc.strerror}") from exc

@@ -58,8 +58,9 @@ def is_power_of_two(hops: int) -> bool:
 
 def initialize_packet(origin: int) -> LoopHeader:
     """Fresh header at the originating node: tortoise = origin, hops = 0."""
-    _check_node_id(origin)
-    return LoopHeader(tortoise=origin, hops=0)
+    if not 0 <= origin <= MAX_NODE_ID:
+        raise ValueError(f"node id out of range: {origin!r}")
+    return _new(LoopHeader, (origin, 0))
 
 
 def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
@@ -89,7 +90,3 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     # runs once per forwarded hop
     return _new(ReceiveOutcome, (False, _new(LoopHeader, (tortoise, hops))))
 
-
-def _check_node_id(value: int) -> None:
-    if not 0 <= value <= MAX_NODE_ID:
-        raise ValueError(f"node id out of range: {value!r}")

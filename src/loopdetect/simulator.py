@@ -3,18 +3,23 @@
 Topologies are functional graphs: every node has exactly one successor
 (a per-destination next hop) or a terminal, so a packet's path is a walk
 that either exits the network or enters a cycle. The simulator drives
-core.receive_packet hop by hop and records a full trace. Runs are
-synchronous and single-packet; queuing, loss, and reordering do not
-affect what is being checked here.
+core.receive_packet hop by hop and records a full trace as two columns:
+per hop, the receiver and the tortoise the header leaves with. Rows are
+built from those columns only when read. Runs are synchronous and
+single-packet; queuing, loss, and reordering do not affect what is being
+checked here.
 
 Each run owns its graph and trace, so independent runs may execute in
 parallel without synchronization.
 """
 
+import functools
 import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice, repeat
+from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
@@ -77,16 +82,33 @@ _new = tuple.__new__
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Step-by-step record of one run plus its outcome.
+    """Record of one run plus its outcome, kept as two columns.
 
-    ``at_hop`` is the detection hop for DETECTED, and for TERMINATED the
-    index of the hop that would have left the graph; it is None for the
-    budget and overflow outcomes.
+    ``nodes[i]`` is the receiver at hop i + 1. ``tortoises[0]`` is the
+    origin and ``tortoises[i]`` the tortoise after hop i, so there is one
+    more tortoise than there are nodes; a detecting hop repeats the
+    tortoise before it. ``at_hop`` is the detection hop for DETECTED, and
+    for TERMINATED the index of the hop that would have left the graph; it
+    is None for the budget and overflow outcomes.
     """
 
-    steps: tuple[TraceStep, ...]
+    nodes: tuple[int, ...]
+    tortoises: tuple[int, ...]
     outcome: Outcome
     at_hop: Optional[int]
+
+    @functools.cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """One TraceStep per hop, built on first read; a snapshot is
+        exactly a tortoise change."""
+        return tuple(map(_new, repeat(TraceStep), self._rows()))
+
+    def _rows(self):
+        """(hop, node, tortoise_after, snapshot_taken) per hop, as plain tuples."""
+        tortoises = self.tortoises
+        after = islice(tortoises, 1, None)
+        snapshots = map(ne, islice(tortoises, 1, None), tortoises)
+        return zip(count(1), self.nodes, after, snapshots)
 
 
 def build_rho(
@@ -186,29 +208,32 @@ def simulate(
     # the module global, read per run, so a wrapped receive_packet is seen
     receive = receive_packet
     header = initialize_packet(ids[start])
-    tortoise = header.tortoise
-    steps: list[TraceStep] = []
-    append = steps.append
+    nodes: list[int] = []
+    tortoises = [header[0]]
+    add_node = nodes.append
+    add_tortoise = tortoises.append
     pos = start
     for hop in range(1, max_hops + 1):
         nxt = succ[pos]
         if nxt is None:
-            return SimTrace(tuple(steps), Outcome.TERMINATED, hop)
+            return _trace(nodes, tortoises, Outcome.TERMINATED, hop)
         node_id = ids[nxt]
         try:
             detected, header = receive(header, node_id)
         except HopOverflow:
-            return SimTrace(tuple(steps), Outcome.HOP_OVERFLOW, None)
+            return _trace(nodes, tortoises, Outcome.HOP_OVERFLOW, None)
+        add_node(node_id)
         if detected:
-            append(_new(TraceStep, (hop, node_id, tortoise, False)))
-            return SimTrace(tuple(steps), Outcome.DETECTED, hop)
-        # a snapshot is exactly a tortoise change: on a power-of-two hop the
-        # receiver differs from the old tortoise, or it was detected above
-        snapshot = header[0]
-        append(_new(TraceStep, (hop, node_id, snapshot, snapshot != tortoise)))
-        tortoise = snapshot
+            # no new header: the tortoise stands, so the row shows no snapshot
+            add_tortoise(tortoises[-1])
+            return _trace(nodes, tortoises, Outcome.DETECTED, hop)
+        add_tortoise(header[0])
         pos = nxt
-    return SimTrace(tuple(steps), Outcome.BUDGET_EXHAUSTED, None)
+    return _trace(nodes, tortoises, Outcome.BUDGET_EXHAUSTED, None)
+
+
+def _trace(nodes, tortoises, outcome, at_hop) -> SimTrace:
+    return SimTrace(tuple(nodes), tuple(tortoises), outcome, at_hop)
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
@@ -218,10 +243,11 @@ def trace_csv(trace: SimTrace) -> str:
     """Render a trace as CSV, one row per step; the final row carries the
     outcome. Node ids print as 16-digit lowercase hex."""
     label = _outcome_label(trace)
-    if not trace.steps:
+    if not trace.nodes:
         return f"{TRACE_CSV_HEADER}\n,,,,{label}\n"
-    # %-formatting takes each TraceStep tuple whole; %d prints a bool as 0/1
-    rows = ["%d,%016x,%016x,%d," % step for step in trace.steps]
+    # formatted straight from the columns, never as TraceStep rows; %d
+    # prints a bool as 0/1
+    rows = list(map("%d,%016x,%016x,%d,".__mod__, trace._rows()))
     rows[-1] += label
     return TRACE_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 

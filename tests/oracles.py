@@ -6,7 +6,8 @@ root extraction (no transcribed tables) and is itself checked against the
 two published NIST vectors before anything trusts it. The collision
 probability is computed in exact big-integer arithmetic, and, for path
 lengths too long for that, as a plain term-by-term log1p sum. Seeded node
-ids are drawn one ``getrandbits(64)`` call at a time.
+ids are drawn one ``getrandbits(64)`` call at a time. Trace rows are
+recorded one per hop as the packet moves.
 """
 
 import math
@@ -115,6 +116,37 @@ def distinct_ids_one_at_a_time(rng, count: int) -> list:
             seen.add(value)
             drawn.append(value)
     return drawn
+
+
+def trace_rows_hop_by_hop(ids, succ, start, max_hops, receive):
+    """Forward one packet as ``simulate`` does, appending one
+    (hop, node, tortoise_after, snapshot_taken) row per hop as it goes.
+
+    ``receive`` is the state machine under test (``receive_packet``),
+    passed in so that nothing here imports the package; it may raise an
+    OverflowError when the hop counter saturates. Returns the rows, the
+    outcome's value and its hop.
+    """
+    tortoise = ids[start]
+    header = (tortoise, 0)
+    rows = []
+    pos = start
+    for hop in range(1, max_hops + 1):
+        nxt = succ[pos]
+        if nxt is None:
+            return rows, "terminated", hop
+        node = ids[nxt]
+        try:
+            detected, header = receive(header, node)
+        except OverflowError:
+            return rows, "hop_overflow", None
+        if detected:
+            rows.append((hop, node, tortoise, False))
+            return rows, "detected", hop
+        rows.append((hop, node, header[0], header[0] != tortoise))
+        tortoise = header[0]
+        pos = nxt
+    return rows, "budget_exhausted", None
 
 
 def naive_is_power_of_two(value: int) -> bool:

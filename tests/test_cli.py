@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from loopdetect import cli
+from loopdetect import cli, simulator
 from loopdetect.cli import main
 
 # SHA-256 of collision tables as the term-by-term log1p sum printed them:
@@ -181,6 +181,24 @@ def test_latency_past_hop_counter_horizon_exits_2(tmp_path, capsys, lam):
     assert not target.exists()
 
 
+def _no_rows(trace):
+    raise AssertionError("TraceStep rows were built")
+
+
+def test_latency_and_simulate_never_build_trace_rows(monkeypatch, capsys):
+    # both read the trace's columns only; a row per hop is work thrown away
+    monkeypatch.setattr(simulator.SimTrace, "steps", property(_no_rows))
+    code, out, _ = run(capsys, "latency", "--mu", "300", "--lambda", "700")
+    assert code == 0
+    assert out.startswith("mu,lambda,brent_hop,ttl_hop,ratio\n300,700,")
+    code, _, err = run(capsys, "latency", "--mu", "0", "--lambda", "40000")
+    assert code == 2
+    assert "horizon" in err
+    code, out, _ = run(capsys, "simulate", "--mu", "300", "--lambda", "700", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_RHO_300_700_SEED_3_SHA256
+
+
 def test_header_encode_zeros(capsys):
     code, out, _ = run(capsys, "header", "encode")
     assert code == 0
@@ -234,6 +252,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("# seed=4\nhop,")
     assert text.rstrip().endswith("detected(1)")
+
+
+@pytest.mark.parametrize(
+    "argv, target, reason",
+    [
+        (["header", "encode"], ".", "Is a directory"),
+        (["simulate", "--mu", "2", "--lambda", "3"], "missing/trace.csv",
+         "No such file or directory"),
+    ],
+)
+def test_unwritable_out_exits_73(tmp_path, capsys, argv, target, reason):
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 73
+    assert out == ""
+    assert err == f"loopdetect: cannot write {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_roundtrip_encode_decode_via_cli(capsys):

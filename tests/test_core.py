@@ -21,11 +21,12 @@ node_ids = st.integers(min_value=0, max_value=MAX_NODE_ID)
 def test_initialize_packet(origin):
     header = initialize_packet(origin)
     assert header == LoopHeader(tortoise=origin, hops=0)
+    assert type(header) is LoopHeader
 
 
 @pytest.mark.parametrize("origin", [-1, MAX_NODE_ID + 1])
 def test_initialize_packet_rejects_out_of_range(origin):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^node id out of range: {origin}$"):
         initialize_packet(origin)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,12 +16,13 @@ from loopdetect import (
     inject_duplicate,
     is_power_of_two,
     random_functional_graph,
+    receive_packet,
     simulate,
     trace_csv,
     visited_set_oracle,
 )
 from loopdetect.simulator import _draw_distinct_ids
-from oracles import distinct_ids_one_at_a_time
+from oracles import distinct_ids_one_at_a_time, trace_rows_hop_by_hop
 
 # SHA-256 of repr(random_functional_graph(200, 0.1, seed=42).ids) as the
 # one-getrandbits(64)-per-id draw produced it: seeded ids are public results
@@ -205,6 +207,51 @@ def test_trace_structure_invariants():
     for other in (chain, duplicate):
         for step in other.steps[:-1]:
             assert step.snapshot_taken is is_power_of_two(step.hop)
+
+
+@pytest.mark.parametrize(
+    "graph, start, max_hops",
+    [
+        (build_rho(5, 6, ids=range(11)), 0, 200),
+        (build_rho(300, 700, seed=3), 0, 4004),
+        (build_chain(40, ids=range(40)), 0, 164),
+        (build_chain(1, ids=[5]), 0, 8),
+        (build_rho(0, 1, ids=[0xA]), 0, 8),
+        (inject_duplicate(build_chain(10, ids=range(100, 110)), 2, 3), 0, 44),
+        (inject_duplicate(build_chain(128, ids=range(1000, 1128)), 2, 100), 0, 516),
+        (build_rho(0, 3, ids=[1, 2, 3]), 0, 2),
+        (build_rho(16, 16, seed=1), 3, 17),
+        (build_chain(70_000, ids=range(70_000)), 0, 70_000),
+    ],
+    ids=["rho", "rho-seeded", "chain", "one-node", "self-loop", "duplicate-fires",
+         "duplicate-harmless", "budget-2", "budget-17", "hop-overflow"],
+)
+def test_steps_match_a_per_hop_recorder(graph, start, max_hops):
+    trace = simulate(graph, start, max_hops)
+    rows, outcome, at_hop = trace_rows_hop_by_hop(
+        graph.ids, graph.succ, start, max_hops, receive_packet
+    )
+    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+    assert trace.steps == tuple(rows)
+    assert all(type(step) is TraceStep for step in trace.steps)
+    assert all(type(step.snapshot_taken) is bool for step in trace.steps)
+    assert trace.steps is trace.steps  # built once, on first read
+    assert len(trace.tortoises) == len(trace.nodes) + 1 == len(rows) + 1
+    assert trace.tortoises[0] == graph.ids[start]
+
+
+def test_simulate_memory_stays_in_columns():
+    # a 65 535-hop overflow run; one TraceStep per hop peaked at ~8.4 MB
+    graph = build_rho(1256, 58698)
+    tracemalloc.start()
+    try:
+        trace = simulate(graph, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.outcome is Outcome.HOP_OVERFLOW
+    assert len(trace.nodes) == 65535
+    assert peak < 3_000_000
 
 
 def test_simulate_determinism():
