@@ -163,7 +163,7 @@ def latency_table(
     whatever the loop's shape.
     """
     if ttl < 1:
-        raise ValueError("ttl must be >= 1")
+        raise ValueError(f"ttl must be >= 1, got {ttl}")
     rows = []
     for case in cases:
         brent_hop = predict_detection_hop(case)
@@ -183,7 +183,7 @@ def latency_csv(rows: Iterable[LatencyRow]) -> str:
 def _checked(query: CollisionQuery) -> CollisionQuery:
     n, b = query
     if n < 1:
-        raise ValueError("path_length must be >= 1")
+        raise ValueError(f"path_length must be >= 1, got {n}")
     if not 1 <= b <= 128:
-        raise ValueError("id_bits must be within [1, 128]")
+        raise ValueError(f"id_bits must be within [1, 128], got {b}")
     return query

@@ -4,9 +4,12 @@ tables, and header encode/decode, all as deterministic CSV/text.
 Exit codes: 0 success, 2 simulation budget exhausted or hop overflow
 (for latency: the loop lies past the hop-counter horizon),
 3 internal invariant breach (predictor disagrees with simulation),
-64 usage error, 65 malformed input data, 73 the --out file cannot be
-written. Randomized subcommands take a seed (defaulted if omitted) and
-echo it, so every output is replayable.
+64 an argument that argparse rejects or that the library function it
+reaches rejects (the message is the library's, after the subcommand's
+usage line), 65 header decode input that is not hex or is shorter than
+14 bytes, 73 the --out file cannot be written. Handlers do not repeat a
+check the library makes. Randomized subcommands take a seed (defaulted
+if omitted) and echo it, so every output is replayable.
 main() may be called repeatedly in one process: it builds its parser
 once, on the first call, and parses each call into a fresh namespace.
 """
@@ -43,16 +46,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        args.parser.error(str(exc))  # the subcommand's own usage
-        raise AssertionError("unreachable")  # parser.error always exits
     except _CannotWrite as exc:
         print(f"loopdetect: {exc}", file=sys.stderr)
         return EX_CANTCREAT
-
-
-class _UsageError(Exception):
-    pass
+    except ValueError as exc:
+        args.parser.error(str(exc))  # the subcommand's own usage; exits 64
+        raise AssertionError("unreachable")
 
 
 class _CannotWrite(Exception):
@@ -111,18 +110,12 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     if args.chain is not None:
         if args.mu is not None or args.lam is not None:
-            raise _UsageError("--chain excludes --mu/--lambda")
-        if args.chain < 1:
-            raise _UsageError("--chain must be >= 1")
+            raise ValueError("--chain excludes --mu/--lambda")
         graph = simulator.build_chain(args.chain, seed=args.seed)
+    elif args.mu is None or args.lam is None:
+        raise ValueError("simulate needs --mu and --lambda, or --chain")
     else:
-        if args.mu is None or args.lam is None:
-            raise _UsageError("simulate needs --mu and --lambda, or --chain")
-        if args.mu < 0 or args.lam < 1:
-            raise _UsageError("need --mu >= 0 and --lambda >= 1")
         graph = simulator.build_rho(args.mu, args.lam, seed=args.seed)
-    if args.max_hops is not None and args.max_hops < 1:
-        raise _UsageError("--max-hops must be >= 1")
     trace = simulator.simulate(graph, 0, args.max_hops)
     _emit(args.out, f"# seed={args.seed}\n" + simulator.trace_csv(trace))
     if trace.outcome in (simulator.Outcome.DETECTED, simulator.Outcome.TERMINATED):
@@ -131,22 +124,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_collisions(args) -> int:
-    for bits in args.bits:
-        if not 1 <= bits <= 128:
-            raise _UsageError(f"--bits values must be within [1, 128], got {bits}")
-    for length in args.lengths:
-        if length < 1:
-            raise _UsageError(f"--lengths values must be >= 1, got {length}")
     rows = analysis.collision_table(args.bits, args.lengths)
     _emit(args.out, analysis.collision_csv(rows))
     return EX_OK
 
 
 def _cmd_latency(args) -> int:
-    if args.mu < 0 or args.lam < 1:
-        raise _UsageError("need --mu >= 0 and --lambda >= 1")
-    if args.ttl < 1:
-        raise _UsageError("--ttl must be >= 1")
     case = CycleStructure(args.mu, args.lam)
     rows = analysis.latency_table([case], args.ttl)
     # never emit a predicted hop that a live run does not reproduce
@@ -174,24 +157,16 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_header_encode(args) -> int:
-    try:
-        wire = codec.encode(LoopHeader(args.tortoise, args.hops), args.nonce)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    wire = codec.encode(LoopHeader(args.tortoise, args.hops), args.nonce)
     _emit(args.out, wire.hex() + "\n")
     return EX_OK
 
 
 def _cmd_header_decode(args) -> int:
     try:
-        wire = bytes.fromhex(args.hex)
-    except ValueError:
-        print(f"loopdetect: not valid hex: {args.hex!r}", file=sys.stderr)
-        return EX_DATAERR
-    try:
-        header, nonce = codec.decode(wire)
-    except codec.Truncated as exc:
-        print(f"loopdetect: {exc}", file=sys.stderr)
+        header, nonce = codec.decode(bytes.fromhex(args.hex))
+    except ValueError as exc:  # not hex, or codec.Truncated
+        print(f"loopdetect: cannot decode {args.hex!r}: {exc}", file=sys.stderr)
         return EX_DATAERR
     _emit(
         args.out,

@@ -30,16 +30,17 @@ def encode(header: LoopHeader, nonce: int) -> bytes:
     """Pack a header and nonce into the 14-byte wire form."""
     tortoise, hops = header
     try:
-        # struct range-checks every field; the checks below only name the
-        # offending one
+        # struct checks the type and range of every field; the checks below
+        # only name the offending one
         return _pack(tortoise, hops, nonce)
     except struct.error:
-        if not 0 <= tortoise <= MAX_NODE_ID:
-            raise ValueError(f"tortoise out of range: {tortoise!r}") from None
-        if not 0 <= hops <= MAX_HOPS:
-            raise ValueError(f"hops out of range: {hops!r}") from None
-        if not 0 <= nonce <= MAX_NONCE:
-            raise ValueError(f"nonce out of range: {nonce!r}") from None
+        fields = (("tortoise", tortoise, MAX_NODE_ID), ("hops", hops, MAX_HOPS),
+                  ("nonce", nonce, MAX_NONCE))
+        for name, value, top in fields:
+            if not isinstance(value, int):
+                raise ValueError(f"{name} is not an integer: {value!r}") from None
+            if not 0 <= value <= top:
+                raise ValueError(f"{name} out of range: {value!r}") from None
         raise
 
 

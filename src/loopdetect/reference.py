@@ -139,9 +139,9 @@ def predict_detection_hop(structure: CycleStructure) -> int:
     """
     mu, lam = structure
     if mu < 0:
-        raise ValueError("tail length must be >= 0")
+        raise ValueError(f"tail length must be >= 0, got {mu}")
     if lam < 1:
-        raise ValueError("cycle length must be >= 1")
+        raise ValueError(f"cycle length must be >= 1, got {lam}")
     if mu == 0 and lam == 1:
         return 1
     p = 1

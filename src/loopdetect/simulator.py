@@ -53,8 +53,10 @@ class FunctionalGraph:
         if len(self.succ) != n:
             raise ValueError("ids and succ must have equal length")
         for value in self.ids:
-            if not 0 <= value <= MAX_NODE_ID:
-                raise ValueError(f"node id out of range: {value!r}")
+            # exactly int: a float id would format as neither %x nor wire bytes
+            if type(value) is not int or not 0 <= value <= MAX_NODE_ID:
+                fault = "out of range" if type(value) is int else "not an int"
+                raise ValueError(f"node id {fault}: {value!r}")
         for nxt in self.succ:
             if nxt is not None and not 0 <= nxt < n:
                 raise ValueError(f"successor index out of range: {nxt!r}")
@@ -124,9 +126,9 @@ def build_rho(
     drawn distinct from the 64-bit space using ``seed``.
     """
     if mu < 0:
-        raise ValueError("tail length must be >= 0")
+        raise ValueError(f"tail length must be >= 0, got {mu}")
     if lam < 1:
-        raise ValueError("cycle length must be >= 1")
+        raise ValueError(f"cycle length must be >= 1, got {lam}")
     n = mu + lam
     node_ids = _resolve_ids(n, ids, seed)
     succ = tuple(range(1, n)) + (mu,)
@@ -140,7 +142,7 @@ def build_chain(
 ) -> FunctionalGraph:
     """Loop-free path of ``length`` nodes ending in a terminal."""
     if length < 1:
-        raise ValueError("chain length must be >= 1")
+        raise ValueError(f"chain length must be >= 1, got {length}")
     node_ids = _resolve_ids(length, ids, seed)
     succ = tuple(range(1, length)) + (None,)
     return FunctionalGraph(node_ids, succ)
@@ -202,7 +204,7 @@ def simulate(
     if max_hops is None:
         max_hops = 4 * (n + 1)
     if max_hops < 1:
-        raise ValueError("max_hops must be >= 1")
+        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     ids = graph.ids
     succ = graph.succ
     # the module global, read per run, so a wrapped receive_packet is seen

@@ -87,6 +87,13 @@ def test_simulate_seed_changes_ids(capsys):
         ["collisions", "--lengths", "0"],
         ["nonsense"],
         [],
+        ["simulate", "--chain", "3", "--max-hops", "0"],
+        ["simulate", "--mu", "0", "--lambda", "0"],
+        ["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"],
+        ["latency", "--mu", "-1", "--lambda", "1"],
+        ["collisions", "--bits", "129"],
+        ["collisions", "--bits", "24", "--lengths", "16", "0"],
+        ["header", "encode", "--out", "a\x00b"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -102,6 +109,13 @@ def test_usage_errors_exit_64(capsys, argv):
         (["simulate", "--chain", "0"], "usage: loopdetect simulate "),
         (["collisions", "--bits", "0"], "usage: loopdetect collisions "),
         (["latency", "--mu", "0", "--lambda", "0"], "usage: loopdetect latency "),
+        (["simulate", "--chain", "3", "--max-hops", "0"], "usage: loopdetect simulate "),
+        (["simulate", "--mu", "0", "--lambda", "0"], "usage: loopdetect simulate "),
+        (["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"], "usage: loopdetect latency "),
+        (["latency", "--mu", "-1", "--lambda", "1"], "usage: loopdetect latency "),
+        (["collisions", "--bits", "129"], "usage: loopdetect collisions "),
+        (["collisions", "--bits", "24", "--lengths", "16", "0"], "usage: loopdetect collisions "),
+        (["header", "encode", "--out", "a\x00b"], "usage: loopdetect header encode "),
     ],
 )
 def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
@@ -109,6 +123,33 @@ def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
         main(argv)
     assert exc.value.code == 64
     assert capsys.readouterr().err.startswith(usage)
+
+
+# the CLI does not re-check these: the library function each one reaches
+# rejects it, and its message, naming the value, is the CLI's error
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--chain", "3", "--max-hops", "0"], "max_hops must be >= 1, got 0"),
+        (["simulate", "--mu", "0", "--lambda", "0"], "cycle length must be >= 1, got 0"),
+        (["simulate", "--mu", "-1", "--lambda", "2"], "tail length must be >= 0, got -1"),
+        (["simulate", "--chain", "0"], "chain length must be >= 1, got 0"),
+        (["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"], "ttl must be >= 1, got 0"),
+        (["latency", "--mu", "-1", "--lambda", "1"], "tail length must be >= 0, got -1"),
+        (["collisions", "--bits", "129"], "id_bits must be within [1, 128], got 129"),
+        (["collisions", "--bits", "24", "--lengths", "16", "0"], "path_length must be >= 1, got 0"),
+        (["header", "encode", "--hops", "70000"], "hops out of range: 70000"),
+    ],
+)
+def test_library_rejection_names_the_value_and_writes_nothing(tmp_path, capsys, argv, message):
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(target)])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {message}\n")
+    assert not target.exists()
 
 
 def test_collisions_single_cell(capsys):
@@ -226,13 +267,13 @@ def test_header_decode_fields(capsys):
 def test_header_decode_truncated_exits_65(capsys):
     code, _, err = run(capsys, "header", "decode", "0102")
     assert code == 65
-    assert err
+    assert err == "loopdetect: cannot decode '0102': need 14 bytes, got 2\n"
 
 
 def test_header_decode_bad_hex_exits_65(capsys):
     code, _, err = run(capsys, "header", "decode", "zz" * 14)
     assert code == 65
-    assert err
+    assert err.startswith(f"loopdetect: cannot decode {'zz' * 14!r}: ")
 
 
 def test_header_encode_out_of_range_exits_64(capsys):

@@ -92,3 +92,13 @@ def test_encode_rejects_out_of_range(tortoise, hops, nonce):
     field = next(name for name, value, bound in fields if not 0 <= value < bound)
     with pytest.raises(ValueError, match=f"^{field} out of range"):
         encode(LoopHeader(tortoise, hops), nonce)
+
+
+@pytest.mark.parametrize(
+    "field, tortoise, hops, nonce",
+    [("tortoise", 1.5, 0, 0), ("hops", 0, 1.5, 0), ("nonce", 0, 0, 1.5)],
+)
+def test_encode_rejects_non_integer_field(field, tortoise, hops, nonce):
+    # a ValueError that names the field, never struct's own error
+    with pytest.raises(ValueError, match=rf"^{field} is not an integer: 1\.5$"):
+        encode(LoopHeader(tortoise, hops), nonce)

@@ -81,6 +81,18 @@ def test_functional_graph_validation():
         FunctionalGraph((1, 2**64), (0, 1))
 
 
+@pytest.mark.parametrize(
+    "ids, rejected",
+    [([0.5, 1.5, 2.5], "0.5"), ([1, 2.0, 3], "2.0"), ([1, 2, "3"], "'3'")],
+)
+def test_graph_rejects_ids_that_are_not_ints(ids, rejected):
+    # caught at construction, not later in trace_csv's %x or the wire codec
+    with pytest.raises(ValueError, match=f"^node id not an int: {rejected}$"):
+        build_rho(1, 2, ids=ids)
+    with pytest.raises(ValueError, match=f"^node id not an int: {rejected}$"):
+        FunctionalGraph(tuple(ids), (1, 2, None))
+
+
 def test_random_graph_single_node_no_terminal():
     graph = random_functional_graph(1, 0.0, seed=3)
     assert graph.succ == (0,)
