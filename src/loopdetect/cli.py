@@ -1,7 +1,7 @@
 """Command-line front end: simulation traces, collision tables, latency
 tables, and header encode/decode, all as deterministic CSV/text.
 
-Exit codes: 0 success, 2 simulation budget exhausted or hop overflow
+Exit codes: 0 success, 2 hop overflow or the --max-hops budget exhausted
 (for latency: the loop lies past the hop-counter horizon),
 3 internal invariant breach (predictor disagrees with simulation),
 64 an argument that argparse rejects or that the library function it
@@ -73,7 +73,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--lambda", dest="lam", type=int, help="cycle length of a rho topology")
     p_sim.add_argument("--chain", type=int, help="loop-free chain of this many nodes")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="node-id seed (default 0)")
-    p_sim.add_argument("--max-hops", type=int, default=None, help="hop budget (default 4*(n+1))")
+    p_sim.add_argument("--max-hops", type=int,
+                       help="hop budget (default: until the hop counter overflows)")
     p_sim.set_defaults(handler=_cmd_simulate, parser=p_sim)
 
     p_col = sub.add_parser("collisions", parents=[out],
@@ -111,11 +112,9 @@ def _cmd_simulate(args) -> int:
     if args.chain is not None:
         if args.mu is not None or args.lam is not None:
             raise ValueError("--chain excludes --mu/--lambda")
-        graph = simulator.build_chain(args.chain, seed=args.seed)
     elif args.mu is None or args.lam is None:
         raise ValueError("simulate needs --mu and --lambda, or --chain")
-    else:
-        graph = simulator.build_rho(args.mu, args.lam, seed=args.seed)
+    graph = simulator.build_within_reach(args.mu, args.lam, args.chain, seed=args.seed)
     trace = simulator.simulate(graph, 0, args.max_hops)
     _emit(args.out, f"# seed={args.seed}\n" + simulator.trace_csv(trace))
     if trace.outcome in (simulator.Outcome.DETECTED, simulator.Outcome.TERMINATED):
@@ -133,7 +132,7 @@ def _cmd_latency(args) -> int:
     case = CycleStructure(args.mu, args.lam)
     rows = analysis.latency_table([case], args.ttl)
     # never emit a predicted hop that a live run does not reproduce
-    graph = simulator.build_rho(case.mu, case.lam, seed=DEFAULT_SEED)
+    graph = simulator.build_within_reach(case.mu, case.lam, seed=DEFAULT_SEED)
     trace = simulator.simulate(graph, 0)
     predicted = rows[0].brent_hop
     if predicted > MAX_HOPS and trace.outcome is simulator.Outcome.HOP_OVERFLOW:

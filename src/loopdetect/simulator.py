@@ -22,7 +22,9 @@ from itertools import count, islice, repeat
 from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
-from .core import MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
+from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
+
+REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 
 
 class BadArity(ValueError):
@@ -58,8 +60,9 @@ class FunctionalGraph:
                 fault = "out of range" if type(value) is int else "not an int"
                 raise ValueError(f"node id {fault}: {value!r}")
         for nxt in self.succ:
-            if nxt is not None and not 0 <= nxt < n:
-                raise ValueError(f"successor index out of range: {nxt!r}")
+            if nxt is not None and (type(nxt) is not int or not 0 <= nxt < n):
+                fault = "out of range" if type(nxt) is int else "not an int"
+                raise ValueError(f"successor index {fault}: {nxt!r}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -148,6 +151,19 @@ def build_chain(
     return FunctionalGraph(node_ids, succ)
 
 
+def build_within_reach(
+    mu: Optional[int], lam: Optional[int], chain: Optional[int] = None, seed: Optional[int] = None
+) -> FunctionalGraph:
+    """``build_chain(chain)`` if ``chain`` is given, else ``build_rho(mu, lam)``,
+    cut to its first REACH nodes: a walk from node 0 overflows the hop counter
+    before it touches a node past them, and seeded ids keep their prefix, so
+    ``simulate`` gives the same trace. Plain mins keep the builders' checks."""
+    if chain is not None:
+        return build_chain(min(chain, REACH), seed=seed)
+    mu = min(mu, REACH - 1)
+    return build_rho(mu, min(lam, REACH - mu), seed=seed)
+
+
 def random_functional_graph(
     n: int, terminal_prob: float, seed: Optional[int] = None
 ) -> FunctionalGraph:
@@ -194,15 +210,14 @@ def simulate(
 
     Initializes the header at the start node, then repeatedly moves to the
     successor and applies receive_packet. All terminal conditions are
-    encoded in the outcome, never raised. The default budget of
-    4 * (n + 1) hops sits comfortably above the detection bound, so
-    BUDGET_EXHAUSTED under the default always indicates a bug.
+    encoded in the outcome, never raised. By default the hop counter alone
+    bounds the walk, which ends by hop MAX_HOPS + 1; only an explicit
+    ``max_hops`` can end it in BUDGET_EXHAUSTED.
     """
     n = len(graph)
     if not 0 <= start < n:
         raise BadIndex(f"start {start} outside graph of {n} nodes")
-    if max_hops is None:
-        max_hops = 4 * (n + 1)
+    max_hops = MAX_HOPS + 1 if max_hops is None else max_hops
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     ids = graph.ids
@@ -248,10 +263,10 @@ def trace_csv(trace: SimTrace) -> str:
     if not trace.nodes:
         return f"{TRACE_CSV_HEADER}\n,,,,{label}\n"
     # formatted straight from the columns, never as TraceStep rows; %d
-    # prints a bool as 0/1
-    rows = list(map("%d,%016x,%016x,%d,".__mod__, trace._rows()))
-    rows[-1] += label
-    return TRACE_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    # prints a bool as 0/1; one join, so the text is copied once
+    lines = [TRACE_CSV_HEADER, *map("%d,%016x,%016x,%d,".__mod__, trace._rows()), ""]
+    lines[-2] += label
+    return "\n".join(lines)
 
 
 def _outcome_label(trace: SimTrace) -> str:
@@ -285,7 +300,8 @@ def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:
     of k successive ``getrandbits(64)`` calls. The dict keeps the first
     draw of each value, and each refill asks only for the ids still
     missing, so the generator uses up the same words as the one-at-a-time
-    loop and ends in the same state.
+    loop and ends in the same state. The blocks never reorder that stream,
+    so a longer draw from one seed starts with every id of a shorter one.
     """
     drawn: dict[int, None] = {}
     while len(drawn) < count:

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 
@@ -355,3 +356,24 @@ def test_valid_call_after_a_usage_error_succeeds(capsys):
     code, out, _ = run(capsys, "header", "encode")
     assert code == 0
     assert out == "0" * 28 + "\n"
+
+
+@pytest.mark.parametrize("command", ["latency", "simulate"])
+def test_cost_is_bounded_by_the_hop_counter_not_the_topology(tmp_path, capsys, command):
+    # at most REACH nodes are built; the whole 10**6-node graph peaked near 92 MB
+    shape = ["--mu", "1000000", "--lambda", "1"] if command == "latency" else ["--chain", "1000000"]
+    target = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = main([command, *shape, "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 20_000_000
+    if command == "latency":
+        assert "horizon" in capsys.readouterr().err
+    else:
+        lines = target.read_text().splitlines()
+        assert len(lines) == simulator.REACH
+        assert lines[-1].endswith(",hop_overflow")

@@ -3,8 +3,11 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopdetect import (
+    MAX_HOPS,
     BadArity,
     BadIndex,
     CycleStructure,
@@ -21,7 +24,7 @@ from loopdetect import (
     trace_csv,
     visited_set_oracle,
 )
-from loopdetect.simulator import _draw_distinct_ids
+from loopdetect.simulator import REACH, _draw_distinct_ids, build_within_reach
 from oracles import distinct_ids_one_at_a_time, trace_rows_hop_by_hop
 
 # SHA-256 of repr(random_functional_graph(200, 0.1, seed=42).ids) as the
@@ -91,6 +94,13 @@ def test_graph_rejects_ids_that_are_not_ints(ids, rejected):
         build_rho(1, 2, ids=ids)
     with pytest.raises(ValueError, match=f"^node id not an int: {rejected}$"):
         FunctionalGraph(tuple(ids), (1, 2, None))
+
+
+@pytest.mark.parametrize("succ, rejected", [((1.0, None), "1.0"), ((True, None), "True")])
+def test_graph_rejects_successors_that_are_not_ints(succ, rejected):
+    # 1.0 passed the range test and failed mid-walk; True ran as index 1
+    with pytest.raises(ValueError, match=f"^successor index not an int: {rejected}$"):
+        FunctionalGraph((5, 6), succ)
 
 
 def test_random_graph_single_node_no_terminal():
@@ -361,3 +371,65 @@ def test_trace_csv_empty_walk_carries_outcome():
     assert trace_csv(trace) == (
         "hop,node_id_hex,tortoise_hex,snapshot,outcome\n,,,,terminated(1)\n"
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("length", [65538, 70000, 200000])
+def test_seeded_ids_keep_their_prefix(length, seed):
+    # the property that lets build_within_reach cut a graph to REACH nodes
+    assert build_chain(length, seed=seed).ids[:REACH] == build_chain(REACH, seed=seed).ids
+
+
+def _csv_sha256(graph):
+    return hashlib.sha256(trace_csv(simulate(graph, 0)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mu, lam",
+    [(0, 65535), (0, 65536), (0, 65537), (0, 65538),
+     (65535, 1), (65535, 2), (65535, 3), (65536, 1), (65536, 2)],
+)
+def test_rho_cut_to_reach_keeps_the_trace(mu, lam):
+    cut = build_within_reach(mu, lam, seed=5)
+    assert len(cut) == min(mu + lam, REACH)
+    assert _csv_sha256(cut) == _csv_sha256(build_rho(mu, lam, seed=5))
+
+
+@pytest.mark.parametrize(
+    "length, outcome",
+    [(65535, "terminated(65535)"), (65536, "terminated(65536)"),
+     (65537, "hop_overflow"), (65538, "hop_overflow")],
+)
+def test_chain_cut_to_reach_keeps_the_trace(length, outcome):
+    # a 65 536-node chain still ends terminated: its last node is not cut
+    cut = build_within_reach(None, None, length, seed=5)
+    assert len(cut) == min(length, REACH)
+    text = trace_csv(simulate(cut, 0))
+    assert text.endswith(f",{outcome}\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == _csv_sha256(build_chain(length, seed=5))
+
+
+@st.composite
+def walks(draw):
+    """A random graph of at most 64 nodes, maybe with a duplicate id, and a start."""
+    n = draw(st.integers(1, 64))
+    graph = random_functional_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        graph = inject_duplicate(graph, a, b)
+    return graph, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_default_budget_matches_the_old_guessed_budget(walk):
+    graph, start = walk
+    trace = simulate(graph, start)
+    assert trace.outcome is not Outcome.BUDGET_EXHAUSTED
+    assert trace_csv(trace) == trace_csv(simulate(graph, start, 4 * (len(graph) + 1)))
+
+
+def test_default_budget_ends_a_long_chain_by_hop_overflow():
+    trace = simulate(build_chain(70_000, ids=range(70_000)), 0)
+    assert trace.outcome is Outcome.HOP_OVERFLOW
+    assert len(trace.nodes) == MAX_HOPS
