@@ -46,16 +46,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _CannotWrite as exc:
-        print(f"loopdetect: {exc}", file=sys.stderr)
-        return EX_CANTCREAT
+    except _Failure as exc:
+        code, message = exc.args
+        print(f"loopdetect: {message}", file=sys.stderr)
+        return code
     except ValueError as exc:
         args.parser.error(str(exc))  # the subcommand's own usage; exits 64
         raise AssertionError("unreachable")
 
 
-class _CannotWrite(Exception):
-    pass
+class _Failure(Exception):
+    """``(exit code, message)`` of a failed command; main prints and returns it."""
 
 
 # one parser per process: parse_args returns a fresh namespace per call and
@@ -136,21 +137,13 @@ def _cmd_latency(args) -> int:
     trace = simulator.simulate(graph, 0)
     predicted = rows[0].brent_hop
     if predicted > MAX_HOPS and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
-        print(
-            f"loopdetect: mu={case.mu} lambda={case.lam} is past the hop-counter "
-            f"horizon: detection needs hop {predicted} > {MAX_HOPS}, so the "
-            "packet expires by hop overflow first",
-            file=sys.stderr,
-        )
-        return EX_RUNTIME
+        raise _Failure(EX_RUNTIME, f"mu={case.mu} lambda={case.lam} is past the hop-counter "
+                       f"horizon: detection needs hop {predicted} > {MAX_HOPS}, so the "
+                       "packet expires by hop overflow first")
     if trace.outcome is not simulator.Outcome.DETECTED or trace.at_hop != predicted:
-        print(
-            f"loopdetect: predictor/simulation mismatch for mu={case.mu} "
-            f"lambda={case.lam}: predicted {predicted}, "
-            f"simulated {trace.outcome.value}({trace.at_hop})",
-            file=sys.stderr,
-        )
-        return EX_INVARIANT
+        raise _Failure(EX_INVARIANT, f"predictor/simulation mismatch for mu={case.mu} "
+                       f"lambda={case.lam}: predicted {predicted}, "
+                       f"simulated {trace.outcome.value}({trace.at_hop})")
     _emit(args.out, analysis.latency_csv(rows))
     return EX_OK
 
@@ -165,8 +158,7 @@ def _cmd_header_decode(args) -> int:
     try:
         header, nonce = codec.decode(bytes.fromhex(args.hex))
     except ValueError as exc:  # not hex, or codec.Truncated
-        print(f"loopdetect: cannot decode {args.hex!r}: {exc}", file=sys.stderr)
-        return EX_DATAERR
+        raise _Failure(EX_DATAERR, f"cannot decode {args.hex!r}: {exc}") from exc
     _emit(
         args.out,
         f"tortoise=0x{header.tortoise:016x}\nhops=0x{header.hops:04x}\nnonce=0x{nonce:08x}\n",
@@ -186,4 +178,4 @@ def _emit(out: Optional[str], text: str) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CannotWrite(f"cannot write {out}: {exc.strerror}") from exc
+            raise _Failure(EX_CANTCREAT, f"cannot write {out}: {exc.strerror}") from exc

@@ -32,7 +32,7 @@ class BadArity(ValueError):
 
 
 class BadIndex(IndexError):
-    """Node index outside the graph, or positions that must differ do not."""
+    """Node position that is not an int in [0, n), or positions that must differ do not."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,14 @@ class FunctionalGraph:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _check_position(self, name: str, value) -> None:
+        """Raise BadIndex naming ``value`` unless it is an int in [0, n);
+        exactly int, so True and 1.0 are rejected, not used as 1."""
+        if type(value) is not int:
+            raise BadIndex(f"{name} {value!r} is not an int")
+        if not 0 <= value < len(self.ids):
+            raise BadIndex(f"{name} {value} outside graph of {len(self.ids)} nodes")
 
 
 class Outcome(Enum):
@@ -169,8 +177,6 @@ def random_functional_graph(
 ) -> FunctionalGraph:
     """Uniform random successor per node, replaced by a terminal with
     probability ``terminal_prob``. Deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("need at least one node")
     if not 0.0 <= terminal_prob <= 1.0:
         raise ValueError("terminal_prob must be within [0, 1]")
     rng = random.Random(seed)
@@ -190,12 +196,11 @@ def inject_duplicate(
 
     Positional so false-positive geometry is precisely controllable: the
     duplicate fires only if position_a's id is still the tortoise when the
-    packet reaches position_b.
+    packet reaches position_b. A position that is not an int in [0, n)
+    raises BadIndex.
     """
-    n = len(graph)
     for position in (position_a, position_b):
-        if not 0 <= position < n:
-            raise BadIndex(f"position {position} outside graph of {n} nodes")
+        graph._check_position("position", position)
     if position_a == position_b:
         raise BadIndex("duplicate positions must differ")
     ids = list(graph.ids)
@@ -212,12 +217,13 @@ def simulate(
     successor and applies receive_packet. All terminal conditions are
     encoded in the outcome, never raised. By default the hop counter alone
     bounds the walk, which ends by hop MAX_HOPS + 1; only an explicit
-    ``max_hops`` can end it in BUDGET_EXHAUSTED.
+    ``max_hops`` can end it in BUDGET_EXHAUSTED. BadIndex if ``start`` is
+    not an int in [0, n); ValueError if ``max_hops`` is not an int >= 1.
     """
-    n = len(graph)
-    if not 0 <= start < n:
-        raise BadIndex(f"start {start} outside graph of {n} nodes")
+    graph._check_position("start", start)
     max_hops = MAX_HOPS + 1 if max_hops is None else max_hops
+    if type(max_hops) is not int:
+        raise ValueError(f"max_hops must be an int, got {max_hops!r}")
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     ids = graph.ids

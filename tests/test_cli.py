@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from loopdetect import cli, simulator
+from loopdetect import analysis, cli, simulator
 from loopdetect.cli import main
 
 # SHA-256 of collision tables as the term-by-term log1p sum printed them:
@@ -221,6 +221,43 @@ def test_latency_past_hop_counter_horizon_exits_2(tmp_path, capsys, lam):
     assert out == ""
     assert "horizon" in err
     assert not target.exists()
+
+
+def _off_by_one(monkeypatch):
+    # a predictor one hop late: the only way a valid argv reaches exit 3
+    predict = analysis.predict_detection_hop
+    monkeypatch.setattr(analysis, "predict_detection_hop", lambda case: predict(case) + 1)
+
+
+def test_latency_mismatch_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    _off_by_one(monkeypatch)
+    target = tmp_path / "latency.csv"
+    code, out, err = run(capsys, "latency", "--mu", "2", "--lambda", "4", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert not target.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("loopdetect: predictor/simulation mismatch")
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (2, ["latency", "--mu", "0", "--lambda", "40000"]),
+        (3, ["latency", "--mu", "2", "--lambda", "4"]),
+        (65, ["header", "decode", "0102"]),
+        (73, ["header", "encode", "--out", "."]),
+    ],
+)
+def test_each_failure_is_one_stderr_line(tmp_path, monkeypatch, capsys, code, argv):
+    if code == 3:
+        _off_by_one(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert len(err.splitlines()) == 1
+    assert err.startswith("loopdetect: ")
+    assert err.endswith("\n")
 
 
 def _no_rows(trace):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import tracemalloc
 
@@ -113,6 +114,14 @@ def test_random_graph_all_terminal():
     assert graph.succ == (None,) * 5
 
 
+@pytest.mark.parametrize(
+    "n, terminal_prob", [(0, 0.5), (-1, 0.5), (5, -0.1), (5, 1.5), (5, math.nan)]
+)
+def test_random_graph_rejects_bad_arguments(n, terminal_prob):
+    with pytest.raises(ValueError):
+        random_functional_graph(n, terminal_prob, seed=1)
+
+
 def test_random_graph_determinism_and_distinct_ids():
     a = random_functional_graph(100, 0.0, seed=42)
     b = random_functional_graph(100, 0.0, seed=42)
@@ -208,6 +217,13 @@ def test_simulate_validates_start():
         simulate(graph, 3)
     with pytest.raises(ValueError):
         simulate(graph, 0, max_hops=0)
+    # exactly int: True must not start at position 1, nor 1.0 leak a TypeError
+    for start in (1.0, True):
+        with pytest.raises(BadIndex, match=f"start {start!r} "):
+            simulate(graph, start)
+    for max_hops in (2.5, True):
+        with pytest.raises(ValueError, match=f"got {max_hops!r}$"):
+            simulate(graph, 0, max_hops)
 
 
 def test_trace_structure_invariants():
@@ -331,6 +347,10 @@ def test_inject_duplicate_bad_positions():
         inject_duplicate(graph, -1, 2)
     with pytest.raises(BadIndex):
         inject_duplicate(graph, 2, 2)
+    with pytest.raises(BadIndex, match="position 1.0 "):
+        inject_duplicate(graph, 0, 1.0)
+    with pytest.raises(BadIndex, match="position True "):
+        inject_duplicate(graph, True, 0)
 
 
 def test_duplicate_inside_snapshot_window_is_false_positive():
