@@ -26,7 +26,6 @@ from .core import (
     LoopHeader,
     ReceiveOutcome,
     initialize_packet,
-    is_power_of_two,
     receive_packet,
 )
 from .reference import (
@@ -89,7 +88,6 @@ __all__ = [
     "floyd_detect",
     "initialize_packet",
     "inject_duplicate",
-    "is_power_of_two",
     "latency_csv",
     "latency_table",
     "packet_digest",

@@ -11,6 +11,7 @@ hop-limit baseline.
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from .core import _check_count
 from .reference import CycleStructure, predict_detection_hop
 
 
@@ -162,8 +163,7 @@ def latency_table(
     pure hop-limit scheme halts a looping packet exactly at ``ttl``,
     whatever the loop's shape.
     """
-    if ttl < 1:
-        raise ValueError(f"ttl must be >= 1, got {ttl}")
+    _check_count("ttl", ttl, 1)
     rows = []
     for case in cases:
         brent_hop = predict_detection_hop(case)
@@ -182,8 +182,6 @@ def latency_csv(rows: Iterable[LatencyRow]) -> str:
 
 def _checked(query: CollisionQuery) -> CollisionQuery:
     n, b = query
-    if n < 1:
-        raise ValueError(f"path_length must be >= 1, got {n}")
-    if not 1 <= b <= 128:
-        raise ValueError(f"id_bits must be within [1, 128], got {b}")
+    _check_count("path_length", n, 1)
+    _check_count("id_bits", b, 1, 128)
     return query

@@ -45,15 +45,16 @@ _DETECTED = ReceiveOutcome(True, None)
 _new = tuple.__new__
 
 
-def is_power_of_two(hops: int) -> bool:
-    """True iff ``hops`` is one of 1, 2, 4, ..., 32768.
-
-    The bit trick ``hops & (hops - 1) == 0`` alone would classify 0 as a
-    power of two; 0 is defined false so the predicate is total for external
-    callers. receive_packet inlines the bare trick, which is exact there
-    because the hop count is incremented before the test.
-    """
-    return hops != 0 and (hops & (hops - 1)) == 0
+def _check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """The one check of every size, budget and width: ValueError naming ``value``
+    unless it is exactly an int (True and 1.0 fail) in [least, most or no end]."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if most is None:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    elif not least <= value <= most:
+        raise ValueError(f"{name} must be within [{least}, {most}], got {value}")
 
 
 def initialize_packet(origin: int) -> LoopHeader:
@@ -84,7 +85,7 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     if tortoise == receiver:
         return _DETECTED
     hops += 1
-    if not hops & (hops - 1):
+    if not hops & (hops - 1):  # power of two; exact, as hops >= 1 after the increment
         tortoise = receiver
     # tuple.__new__ skips the Python-level NamedTuple constructors; this
     # runs once per forwarded hop

@@ -138,8 +138,12 @@ def predict_detection_hop(structure: CycleStructure) -> int:
     authoritative.
     """
     mu, lam = structure
+    if type(mu) is not int:
+        raise ValueError(f"tail length must be an int, got {mu!r}")
     if mu < 0:
         raise ValueError(f"tail length must be >= 0, got {mu}")
+    if type(lam) is not int:
+        raise ValueError(f"cycle length must be an int, got {lam!r}")
     if lam < 1:
         raise ValueError(f"cycle length must be >= 1, got {lam}")
     if mu == 0 and lam == 1:

@@ -23,6 +23,7 @@ from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
+from .core import _check_count
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 
@@ -136,10 +137,8 @@ def build_rho(
     -> mu. Ids may be given explicitly (length must be mu + lam) or are
     drawn distinct from the 64-bit space using ``seed``.
     """
-    if mu < 0:
-        raise ValueError(f"tail length must be >= 0, got {mu}")
-    if lam < 1:
-        raise ValueError(f"cycle length must be >= 1, got {lam}")
+    _check_count("tail length", mu, 0)
+    _check_count("cycle length", lam, 1)
     n = mu + lam
     node_ids = _resolve_ids(n, ids, seed)
     succ = tuple(range(1, n)) + (mu,)
@@ -152,8 +151,7 @@ def build_chain(
     seed: Optional[int] = None,
 ) -> FunctionalGraph:
     """Loop-free path of ``length`` nodes ending in a terminal."""
-    if length < 1:
-        raise ValueError(f"chain length must be >= 1, got {length}")
+    _check_count("chain length", length, 1)
     node_ids = _resolve_ids(length, ids, seed)
     succ = tuple(range(1, length)) + (None,)
     return FunctionalGraph(node_ids, succ)
@@ -177,8 +175,9 @@ def random_functional_graph(
 ) -> FunctionalGraph:
     """Uniform random successor per node, replaced by a terminal with
     probability ``terminal_prob``. Deterministic for a fixed seed."""
+    _check_count("n", n, 1)
     if not 0.0 <= terminal_prob <= 1.0:
-        raise ValueError("terminal_prob must be within [0, 1]")
+        raise ValueError(f"terminal_prob must be within [0, 1], got {terminal_prob!r}")
     rng = random.Random(seed)
     succ: list[Optional[int]] = []
     for _ in range(n):
@@ -222,10 +221,7 @@ def simulate(
     """
     graph._check_position("start", start)
     max_hops = MAX_HOPS + 1 if max_hops is None else max_hops
-    if type(max_hops) is not int:
-        raise ValueError(f"max_hops must be an int, got {max_hops!r}")
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
+    _check_count("max_hops", max_hops, 1)
     ids = graph.ids
     succ = graph.succ
     # the module global, read per run, so a wrapped receive_packet is seen

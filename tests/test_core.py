@@ -9,7 +9,6 @@ from loopdetect import (
     LoopHeader,
     ReceiveOutcome,
     initialize_packet,
-    is_power_of_two,
     receive_packet,
 )
 from oracles import naive_is_power_of_two
@@ -79,16 +78,13 @@ def test_receive_is_pure():
     assert header == LoopHeader(3, 7)
 
 
-@pytest.mark.parametrize(
-    "value,expected", [(1, True), (3, False), (4096, True), (0, False)]
-)
-def test_is_power_of_two_examples(value, expected):
-    assert is_power_of_two(value) is expected
-
-
-def test_is_power_of_two_agrees_with_naive_oracle_exhaustively():
-    for h in range(0, MAX_HOPS + 1):
-        assert is_power_of_two(h) == naive_is_power_of_two(h), h
+def test_receive_snapshots_exactly_at_powers_of_two_exhaustively():
+    # receiver 2 never matches tortoise 1, so every step forwards; the
+    # snapshot (tortoise becomes the receiver) must land exactly on the
+    # powers of two of the incremented hop count
+    for hops in range(MAX_HOPS):
+        _, header = receive_packet(LoopHeader(1, hops), 2)
+        assert (header.tortoise == 2) is naive_is_power_of_two(hops + 1), hops
 
 
 def walk(ids):
@@ -131,7 +127,7 @@ def test_tortoise_changes_exactly_at_powers_of_two(ids):
     previous = initialize_packet(ids[0])
     for header in walk(ids):
         changed = header.tortoise != previous.tortoise
-        if is_power_of_two(header.hops):
+        if naive_is_power_of_two(header.hops):
             # receiver may coincide with the old snapshot only via
             # duplicate ids, which unique=True rules out
             assert changed

@@ -18,7 +18,6 @@ from loopdetect import (
     build_chain,
     build_rho,
     inject_duplicate,
-    is_power_of_two,
     random_functional_graph,
     receive_packet,
     simulate,
@@ -26,7 +25,7 @@ from loopdetect import (
     visited_set_oracle,
 )
 from loopdetect.simulator import REACH, _draw_distinct_ids, build_within_reach
-from oracles import distinct_ids_one_at_a_time, trace_rows_hop_by_hop
+from oracles import distinct_ids_one_at_a_time, naive_is_power_of_two, trace_rows_hop_by_hop
 
 # SHA-256 of repr(random_functional_graph(200, 0.1, seed=42).ids) as the
 # one-getrandbits(64)-per-id draw produced it: seeded ids are public results
@@ -231,7 +230,7 @@ def test_trace_structure_invariants():
     hops = [step.hop for step in trace.steps]
     assert hops == list(range(1, len(trace.steps) + 1))
     for step in trace.steps[:-1]:
-        assert step.snapshot_taken is is_power_of_two(step.hop)
+        assert step.snapshot_taken is naive_is_power_of_two(step.hop)
     assert trace.outcome is Outcome.DETECTED
     assert len(trace.steps) == trace.at_hop
     assert trace.steps[-1].snapshot_taken is False
@@ -244,7 +243,7 @@ def test_trace_structure_invariants():
     assert duplicate.outcome is Outcome.TERMINATED
     for other in (chain, duplicate):
         for step in other.steps[:-1]:
-            assert step.snapshot_taken is is_power_of_two(step.hop)
+            assert step.snapshot_taken is naive_is_power_of_two(step.hop)
 
 
 @pytest.mark.parametrize(
