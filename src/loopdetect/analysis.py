@@ -11,8 +11,7 @@ hop-limit baseline.
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import _check_count
-from .reference import CycleStructure, predict_detection_hop
+from .reference import CycleStructure, _check_count, predict_detection_hop
 
 
 class CollisionQuery(NamedTuple):
@@ -144,13 +143,7 @@ def collision_table(
 
 
 def collision_csv(rows: Iterable[CollisionRow]) -> str:
-    # 12 significant digits so regression diffs stay meaningful
-    lines = [COLLISION_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.id_bits},{row.path_length},{row.p_exact:.12g},{row.p_approx:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(COLLISION_CSV_HEADER, "%d,%d,%.12g,%.12g", rows)
 
 
 def latency_table(
@@ -172,12 +165,12 @@ def latency_table(
 
 
 def latency_csv(rows: Iterable[LatencyRow]) -> str:
-    lines = [LATENCY_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.mu},{row.lam},{row.brent_hop},{row.ttl_hop},{row.ratio:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(LATENCY_CSV_HEADER, "%d,%d,%d,%d,%.12g", rows)
+
+
+def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
+    # 12 significant digits so regression diffs stay meaningful
+    return "\n".join([header, *map(row_format.__mod__, rows), ""])
 
 
 def _checked(query: CollisionQuery) -> CollisionQuery:

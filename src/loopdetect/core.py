@@ -45,20 +45,10 @@ _DETECTED = ReceiveOutcome(True, None)
 _new = tuple.__new__
 
 
-def _check_count(name: str, value, least: int, most: int | None = None) -> None:
-    """The one check of every size, budget and width: ValueError naming ``value``
-    unless it is exactly an int (True and 1.0 fail) in [least, most or no end]."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if most is None:
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    elif not least <= value <= most:
-        raise ValueError(f"{name} must be within [{least}, {most}], got {value}")
-
-
 def initialize_packet(origin: int) -> LoopHeader:
     """Fresh header at the originating node: tortoise = origin, hops = 0."""
+    if type(origin) is not int:
+        raise ValueError(f"node id not an int: {origin!r}")
     if not 0 <= origin <= MAX_NODE_ID:
         raise ValueError(f"node id out of range: {origin!r}")
     return _new(LoopHeader, (origin, 0))

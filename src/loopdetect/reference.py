@@ -10,6 +10,11 @@ which the in-band scheme fires.
 A successor function maps an element to its next element, or to None for
 a terminal (an element with no successor). It must be deterministic and
 effectively immutable for the duration of a call.
+
+The package's one count check, ``_check_count``, lives here because this
+module imports nothing from the package: the oracles can use it without
+depending on the code they verify, and every other module imports it from
+here.
 """
 
 from typing import Any, Callable, NamedTuple, Optional
@@ -17,11 +22,24 @@ from typing import Any, Callable, NamedTuple, Optional
 NextFn = Callable[[Any], Optional[Any]]
 
 
+def _check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """The one check of every size, budget and width: ValueError naming ``value``
+    unless it is exactly an int (True and 1.0 fail) in [least, most or no end]."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if most is None:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    elif not least <= value <= most:
+        raise ValueError(f"{name} must be within [{least}, {most}], got {value}")
+
+
 class StepBudgetExceeded(RuntimeError):
     """Walk neither terminated nor revealed a cycle within the step budget.
 
     Signals the caller's budget is too small; cannot happen for a walk
-    known to cycle when the budget exceeds 2*(mu + lam) + lam.
+    known to cycle when the budget is at least 3*(mu + lam), the steps
+    floyd_detect needs on a self-loop.
     """
 
 
@@ -37,65 +55,50 @@ def brent_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     """Cycle detection with a tortoise that teleports at powers of two.
 
     The hare advances one element per step; the tortoise is re-anchored to
-    the hare's position each time the step count crosses a power of two.
+    the hare's position each time the step count reaches a power of two.
     Between anchors the tortoise is compared against every hare position,
-    so the walk state is just (tortoise, hare, power, hops) and the
+    so the walk state is just (tortoise, hare, power, step) and the
     successor function advances exactly once per step.
 
     Returns True when tortoise and hare meet, False when the hare falls
     off a terminal. Raises StepBudgetExceeded after ``max_steps`` successor
     evaluations without either.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    hare = start
-    power = 1
-    hops = 0
-    while True:
-        tortoise = hare
-        power *= 2
-        while True:
-            if hops >= max_steps:
-                raise StepBudgetExceeded(f"no verdict within {max_steps} steps")
-            hops += 1
-            hare = next_fn(hare)
-            if tortoise == hare or hops >= power or hare is None:
-                break
-        if tortoise == hare or hare is None:
-            break
-    return tortoise == hare
+    _check_count("max_steps", max_steps, 1)
+    tortoise = hare = start
+    power = 2
+    for step in range(1, max_steps + 1):
+        hare = next_fn(hare)
+        if tortoise == hare:
+            return True
+        if hare is None:
+            return False
+        if step == power:
+            tortoise = hare
+            power *= 2
+    raise StepBudgetExceeded(f"no verdict within {max_steps} steps")
 
 
 def floyd_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     """Classic two-pointer cycle detection: hare moves twice per tortoise step.
 
-    Returns True as soon as the pointers coincide, False if the hare
-    reaches a terminal. The budget counts successor evaluations, like
+    Of every three steps the first two move the hare and the third the
+    tortoise. Returns True as soon as the pointers coincide, False if the
+    hare reaches a terminal. The budget counts successor evaluations, like
     brent_detect.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    remaining = max_steps
-
-    def step(elem: Any) -> Any:
-        nonlocal remaining
-        if remaining == 0:
-            raise StepBudgetExceeded(f"no verdict within {max_steps} steps")
-        remaining -= 1
-        return next_fn(elem)
-
-    tortoise = start
-    hare = start
-    while True:
-        hare = step(hare)
-        if hare is None:
-            return False
-        hare = step(hare)
-        if hare is None:
-            return False
-        tortoise = step(tortoise)
-        if tortoise == hare:
-            return True
+    _check_count("max_steps", max_steps, 1)
+    tortoise = hare = start
+    for step in range(1, max_steps + 1):
+        if step % 3:
+            hare = next_fn(hare)
+            if hare is None:
+                return False
+        else:
+            tortoise = next_fn(tortoise)
+            if tortoise == hare:
+                return True
+    raise StepBudgetExceeded(f"no verdict within {max_steps} steps")
 
 
 def visited_set_oracle(
@@ -107,8 +110,7 @@ def visited_set_oracle(
     here it only verifies the others. Returns the exact (mu, lam) on the
     first revisit, or None if the walk reaches a terminal.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    _check_count("max_steps", max_steps, 1)
     first_seen = {start: 0}
     elem = start
     for step in range(1, max_steps + 1):
@@ -138,14 +140,8 @@ def predict_detection_hop(structure: CycleStructure) -> int:
     authoritative.
     """
     mu, lam = structure
-    if type(mu) is not int:
-        raise ValueError(f"tail length must be an int, got {mu!r}")
-    if mu < 0:
-        raise ValueError(f"tail length must be >= 0, got {mu}")
-    if type(lam) is not int:
-        raise ValueError(f"cycle length must be an int, got {lam!r}")
-    if lam < 1:
-        raise ValueError(f"cycle length must be >= 1, got {lam}")
+    _check_count("tail length", mu, 0)
+    _check_count("cycle length", lam, 1)
     if mu == 0 and lam == 1:
         return 1
     p = 1

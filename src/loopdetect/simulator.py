@@ -23,7 +23,7 @@ from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
-from .core import _check_count
+from .reference import _check_count
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 

@@ -1,6 +1,7 @@
-"""Every size, budget and width argument is exactly an int, checked once at
-the function that takes it: a float or a bool raises ValueError naming the
-value, never a TypeError from deeper down and never a result."""
+"""Every size, budget and width argument, and the origin id given to
+initialize_packet, is exactly an int, checked once at the function that
+takes it: a float or a bool raises ValueError naming the value, never a
+TypeError from deeper down and never a result."""
 
 import math
 import re
@@ -14,6 +15,7 @@ from loopdetect import (
     build_rho,
     collision_probability_approx,
     collision_probability_exact,
+    initialize_packet,
     latency_table,
     predict_detection_hop,
     random_functional_graph,
@@ -61,6 +63,8 @@ CASES = {
     "predict-mu-bool": (
         predict_detection_hop, (CycleStructure(False, 2),), "tail length must be an int, got False"
     ),
+    "initialize_packet-float": (initialize_packet, (2.5,), "node id not an int: 2.5"),
+    "initialize_packet-bool": (initialize_packet, (True,), "node id not an int: True"),
 }
 
 

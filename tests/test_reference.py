@@ -1,4 +1,8 @@
+import ast
+import hashlib
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -61,9 +65,9 @@ def test_budget_exhaustion_raises(walker):
 
 
 @pytest.mark.parametrize("walker", [brent_detect, floyd_detect, visited_set_oracle])
-@pytest.mark.parametrize("max_steps", [0, -5])
+@pytest.mark.parametrize("max_steps", [0, -5, 2.5, True])
 def test_rejects_nonpositive_budget(walker, max_steps):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(max_steps))}$"):
         walker(0, next_of((0,)), max_steps)
 
 
@@ -85,6 +89,55 @@ def test_oracle_agreement_exhaustive_with_terminals(n):
             assert floyd_detect(start, next_fn, budget) is expected, (table, start)
 
 
+# frozen from the nested-loop detectors: a change to any verdict, message
+# or successor call shows here
+DETECTOR_LOG_SHA256 = "64c46dc7f7dafb1c8bfb279d6bef05605682ed1f56417cdad1f74def7ce69cdf"
+
+
+def test_detectors_pinned_exhaustively():
+    # every graph with terminals on up to 4 nodes, every start, budgets
+    # 1..3n+5: each detector's verdict or exception, and every successor call
+    lines = []
+    for n in range(1, 5):
+        for table in all_graphs_with_terminals(n):
+            for start in range(n):
+                for budget in range(1, 3 * n + 6):
+                    for detect in (brent_detect, floyd_detect, visited_set_oracle):
+                        calls = []
+
+                        def next_fn(elem):
+                            calls.append(elem)
+                            return table[elem]
+
+                        try:
+                            verdict = repr(detect(start, next_fn, budget))
+                        except Exception as exc:
+                            verdict = f"{type(exc).__name__}: {exc}"
+                        lines.append(
+                            f"{detect.__name__} {table} {start} {budget}: "
+                            f"{verdict} {len(calls)} {calls}"
+                        )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == DETECTOR_LOG_SHA256
+
+
+def test_reference_imports_nothing_from_the_package():
+    # the oracles must not depend on the code they verify
+    import loopdetect.reference
+
+    tree = ast.parse(Path(loopdetect.reference.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            modules = [node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] != "loopdetect", ast.unparse(node)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_budget_sufficiency(n):
     # 3n + 4 steps always suffice, cycles and terminals alike
@@ -95,6 +148,18 @@ def test_budget_sufficiency(n):
             visited_set_oracle(start, next_fn, budget)
             brent_detect(start, next_fn, budget)
             floyd_detect(start, next_fn, budget)
+
+
+def test_budget_of_three_steps_per_node_suffices_on_rho_walks():
+    # StepBudgetExceeded's documented bound; floyd_detect needs all of it
+    # at mu = 0, lam = 1
+    for mu in range(33):
+        for lam in range(1, 33):
+            next_fn = next_of((*range(1, mu + lam), mu))
+            budget = 3 * (mu + lam)
+            assert brent_detect(0, next_fn, budget) is True, (mu, lam)
+            assert floyd_detect(0, next_fn, budget) is True, (mu, lam)
+            assert visited_set_oracle(0, next_fn, budget) == (mu, lam)
 
 
 @pytest.mark.parametrize(
