@@ -6,6 +6,11 @@ increments the hop count, reports a loop if its own id matches the
 tortoise, and otherwise overwrites the tortoise with its own id whenever
 the new hop count is a power of two. The packet is the only state; nodes
 cache nothing.
+
+The transition itself lives in one private kernel on plain fields, which
+trusts its receiver id; ``receive_packet`` is its checked wrapper, and the
+simulator, whose graph validated every id at construction, calls the
+kernel directly.
 """
 
 from typing import NamedTuple
@@ -54,14 +59,29 @@ def initialize_packet(origin: int) -> LoopHeader:
     return _new(LoopHeader, (origin, 0))
 
 
+def _transition(tortoise: int, hops: int, receiver: int) -> tuple[int, int] | None:
+    """The one transition, on fields already known to be valid: the new
+    (tortoise, hops), or None on a detected loop. Raises HopOverflow when
+    the counter is saturated."""
+    if hops >= MAX_HOPS:
+        raise HopOverflow(f"hop counter saturated at {hops}")
+    if tortoise == receiver:
+        return None
+    hops += 1
+    if not hops & (hops - 1):  # power of two; exact, as hops >= 1 after the increment
+        tortoise = receiver
+    return tortoise, hops
+
+
 def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     """Process one forwarding step at the node ``receiver``.
 
-    Increments the hop count, then compares the tortoise against the
-    receiving node's id, and only then takes the power-of-two snapshot.
-    The comparison must precede the snapshot: a revisit that lands exactly
-    on a snapshot hop is still caught, and a node whose next hop is itself
-    is caught at hop 1 against the origin's own initialization snapshot.
+    Compares the tortoise against the receiving node's id; if they
+    differ, increments the hop count and only then takes the power-of-two
+    snapshot. The comparison must precede the snapshot: a revisit that
+    lands exactly on a snapshot hop is still caught, and a node whose next
+    hop is itself is caught at hop 1 against the origin's own
+    initialization snapshot.
 
     Raises HopOverflow when the hop counter is already saturated; whether
     a detected loop means drop, log, or signal upstream is forwarding
@@ -70,14 +90,9 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     if not 0 <= receiver <= MAX_NODE_ID:
         raise ValueError(f"node id out of range: {receiver!r}")
     tortoise, hops = header
-    if hops >= MAX_HOPS:
-        raise HopOverflow(f"hop counter saturated at {hops}")
-    if tortoise == receiver:
+    fields = _transition(tortoise, hops, receiver)
+    if fields is None:
         return _DETECTED
-    hops += 1
-    if not hops & (hops - 1):  # power of two; exact, as hops >= 1 after the increment
-        tortoise = receiver
     # tuple.__new__ skips the Python-level NamedTuple constructors; this
     # runs once per forwarded hop
-    return _new(ReceiveOutcome, (False, _new(LoopHeader, (tortoise, hops))))
-
+    return _new(ReceiveOutcome, (False, _new(LoopHeader, fields)))

@@ -3,9 +3,11 @@
 Topologies are functional graphs: every node has exactly one successor
 (a per-destination next hop) or a terminal, so a packet's path is a walk
 that either exits the network or enters a cycle. The simulator drives
-core.receive_packet hop by hop and records a full trace as two columns:
-per hop, the receiver and the tortoise the header leaves with. Rows are
-built from those columns only when read. Runs are synchronous and
+core's transition kernel, the state machine behind receive_packet, hop
+by hop on plain (tortoise, hops) fields, and records a full trace as two
+columns: per hop, the receiver and the tortoise the header leaves with.
+Rows are built from those columns only when read, and the CSV renders
+them block by block, column by column. Runs are synchronous and
 single-packet; queuing, loss, and reordering do not affect what is being
 checked here.
 
@@ -18,11 +20,12 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice, repeat
+from itertools import count, groupby, islice, repeat
 from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
-from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, initialize_packet, receive_packet
+from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition, initialize_packet
+from .core import receive_packet  # not called here; bench/tracing.py wraps this name
 from .reference import _check_count
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
@@ -115,14 +118,11 @@ class SimTrace:
     def steps(self) -> tuple[TraceStep, ...]:
         """One TraceStep per hop, built on first read; a snapshot is
         exactly a tortoise change."""
-        return tuple(map(_new, repeat(TraceStep), self._rows()))
-
-    def _rows(self):
-        """(hop, node, tortoise_after, snapshot_taken) per hop, as plain tuples."""
         tortoises = self.tortoises
         after = islice(tortoises, 1, None)
         snapshots = map(ne, islice(tortoises, 1, None), tortoises)
-        return zip(count(1), self.nodes, after, snapshots)
+        rows = zip(count(1), self.nodes, after, snapshots)
+        return tuple(map(_new, repeat(TraceStep), rows))
 
 
 def build_rho(
@@ -213,10 +213,11 @@ def simulate(
     """Forward one packet from ``start`` until it loops, exits, or expires.
 
     Initializes the header at the start node, then repeatedly moves to the
-    successor and applies receive_packet. All terminal conditions are
-    encoded in the outcome, never raised. By default the hop counter alone
-    bounds the walk, which ends by hop MAX_HOPS + 1; only an explicit
-    ``max_hops`` can end it in BUDGET_EXHAUSTED. BadIndex if ``start`` is
+    successor and applies core's transition kernel, the one state machine
+    behind receive_packet. All terminal conditions are encoded in the
+    outcome, never raised. By default the hop counter alone bounds the
+    walk, which ends by hop MAX_HOPS + 1; only an explicit ``max_hops``
+    can end it in BUDGET_EXHAUSTED. BadIndex if ``start`` is
     not an int in [0, n); ValueError if ``max_hops`` is not an int >= 1.
     """
     graph._check_position("start", start)
@@ -224,30 +225,32 @@ def simulate(
     _check_count("max_hops", max_hops, 1)
     ids = graph.ids
     succ = graph.succ
-    # the module global, read per run, so a wrapped receive_packet is seen
-    receive = receive_packet
-    header = initialize_packet(ids[start])
+    # the module global, read per run, so a wrapped kernel is seen; the
+    # graph checked every id, so no hop repeats receive_packet's range check
+    step = _transition
+    tortoise, hops = initialize_packet(ids[start])
     nodes: list[int] = []
-    tortoises = [header[0]]
+    tortoises = [tortoise]
     add_node = nodes.append
     add_tortoise = tortoises.append
     pos = start
-    for hop in range(1, max_hops + 1):
-        nxt = succ[pos]
-        if nxt is None:
-            return _trace(nodes, tortoises, Outcome.TERMINATED, hop)
-        node_id = ids[nxt]
-        try:
-            detected, header = receive(header, node_id)
-        except HopOverflow:
-            return _trace(nodes, tortoises, Outcome.HOP_OVERFLOW, None)
-        add_node(node_id)
-        if detected:
-            # no new header: the tortoise stands, so the row shows no snapshot
-            add_tortoise(tortoises[-1])
-            return _trace(nodes, tortoises, Outcome.DETECTED, hop)
-        add_tortoise(header[0])
-        pos = nxt
+    try:
+        for hop in range(1, max_hops + 1):
+            nxt = succ[pos]
+            if nxt is None:
+                return _trace(nodes, tortoises, Outcome.TERMINATED, hop)
+            node_id = ids[nxt]
+            fields = step(tortoise, hops, node_id)
+            add_node(node_id)
+            if fields is None:
+                # the tortoise stands, so the row shows no snapshot
+                add_tortoise(tortoise)
+                return _trace(nodes, tortoises, Outcome.DETECTED, hop)
+            tortoise, hops = fields
+            add_tortoise(tortoise)
+            pos = nxt
+    except HopOverflow:
+        return _trace(nodes, tortoises, Outcome.HOP_OVERFLOW, None)
     return _trace(nodes, tortoises, Outcome.BUDGET_EXHAUSTED, None)
 
 
@@ -258,17 +261,37 @@ def _trace(nodes, tortoises, outcome, at_hop) -> SimTrace:
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
 
 
+_CSV_BLOCK = 4096  # rows per rendered block: bounds the transient cell strings
+
+
 def trace_csv(trace: SimTrace) -> str:
     """Render a trace as CSV, one row per step; the final row carries the
     outcome. Node ids print as 16-digit lowercase hex."""
-    label = _outcome_label(trace)
-    if not trace.nodes:
-        return f"{TRACE_CSV_HEADER}\n,,,,{label}\n"
-    # formatted straight from the columns, never as TraceStep rows; %d
-    # prints a bool as 0/1; one join, so the text is copied once
-    lines = [TRACE_CSV_HEADER, *map("%d,%016x,%016x,%d,".__mod__, trace._rows()), ""]
-    lines[-2] += label
+    nodes = trace.nodes
+    tortoises = trace.tortoises
+    blocks = [_csv_block(nodes, tortoises, first) for first in range(0, len(nodes), _CSV_BLOCK)]
+    # no hops: the outcome sits on a row of empty cells
+    lines = [TRACE_CSV_HEADER, *(blocks or [",,,,"]), ""]
+    lines[-2] += _outcome_label(trace)
     return "\n".join(lines)
+
+
+def _csv_block(nodes, tortoises, first: int) -> str:
+    """Rows first + 1 .. first + _CSV_BLOCK (or the last hop) as one text,
+    rendered by column: every node hexed by one struct.pack, and each run
+    of one tortoise formats its "%016x,<snapshot>," cells once."""
+    last = min(first + _CSV_BLOCK, len(nodes))
+    node_hex = struct.pack(f">{last - first}Q", *nodes[first:last]).hex(",", 8).split(",")
+    suffixes: list[str] = []
+    before = tortoises[first]
+    for tortoise, run in groupby(tortoises[first + 1 : last + 1]):
+        # a tortoise change is a snapshot; the rest of its run repeats it
+        cell = "%016x," % tortoise
+        suffixes.append(cell + ("1," if tortoise != before else "0,"))
+        suffixes += repeat(cell + "0,", len(list(run)) - 1)
+        before = tortoise
+    hops = map(str, range(first + 1, last + 1))
+    return "\n".join(map(",".join, zip(hops, node_hex, suffixes)))
 
 
 def _outcome_label(trace: SimTrace) -> str:

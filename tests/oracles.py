@@ -7,7 +7,8 @@ two published NIST vectors before anything trusts it. The collision
 probability is computed in exact big-integer arithmetic, and, for path
 lengths too long for that, as a plain term-by-term log1p sum. Seeded node
 ids are drawn one ``getrandbits(64)`` call at a time. Trace rows are
-recorded one per hop as the packet moves.
+recorded one per hop as the packet moves, and rendered as CSV one
+``%``-formatted line per row.
 """
 
 import math
@@ -147,6 +148,19 @@ def trace_rows_hop_by_hop(ids, succ, start, max_hops, receive):
         tortoise = header[0]
         pos = nxt
     return rows, "budget_exhausted", None
+
+
+def trace_csv_row_by_row(rows, label):
+    """The trace CSV of ``rows`` (as ``trace_rows_hop_by_hop`` records
+    them), one ``"%d,%016x,%016x,%d,"`` line per row; ``label`` ends the
+    last line, which is a line of empty cells when there are no rows."""
+    lines = ["hop,node_id_hex,tortoise_hex,snapshot,outcome"]
+    for row in rows:
+        lines.append("%d,%016x,%016x,%d," % row)
+    if not rows:
+        lines.append(",,,,")
+    lines[-1] += label
+    return "\n".join(lines) + "\n"
 
 
 def naive_is_power_of_two(value: int) -> bool:

@@ -11,6 +11,7 @@ from loopdetect import (
     initialize_packet,
     receive_packet,
 )
+from loopdetect.core import _DETECTED, _transition
 from oracles import naive_is_power_of_two
 
 node_ids = st.integers(min_value=0, max_value=MAX_NODE_ID)
@@ -85,6 +86,28 @@ def test_receive_snapshots_exactly_at_powers_of_two_exhaustively():
     for hops in range(MAX_HOPS):
         _, header = receive_packet(LoopHeader(1, hops), 2)
         assert (header.tortoise == 2) is naive_is_power_of_two(hops + 1), hops
+
+
+def test_receive_packet_is_the_kernel_checked_and_wrapped_exhaustively():
+    # every counter value, with a receiver equal to the tortoise and one not
+    for hops in range(MAX_HOPS + 1):
+        for receiver in (7, 8):
+            header = LoopHeader(7, hops)
+            if hops == MAX_HOPS:
+                with pytest.raises(HopOverflow, match=f"^hop counter saturated at {hops}$"):
+                    _transition(7, hops, receiver)
+                with pytest.raises(HopOverflow, match=f"^hop counter saturated at {hops}$"):
+                    receive_packet(header, receiver)
+                continue
+            fields = _transition(7, hops, receiver)
+            outcome = receive_packet(header, receiver)
+            assert (fields is None) is (receiver == 7), hops
+            if fields is None:
+                assert outcome is _DETECTED
+            else:
+                assert outcome == (False, fields), hops
+                assert type(outcome) is ReceiveOutcome
+                assert type(outcome.updated_header) is LoopHeader
 
 
 def walk(ids):

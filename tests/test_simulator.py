@@ -25,7 +25,17 @@ from loopdetect import (
     visited_set_oracle,
 )
 from loopdetect.simulator import REACH, _draw_distinct_ids, build_within_reach
-from oracles import distinct_ids_one_at_a_time, naive_is_power_of_two, trace_rows_hop_by_hop
+from oracles import (
+    distinct_ids_one_at_a_time,
+    naive_is_power_of_two,
+    trace_csv_row_by_row,
+    trace_rows_hop_by_hop,
+)
+
+# SHA-256 of trace_csv(simulate(build_chain(70_000, seed=5), 0)), the
+# longest trace (65 535 rows, hop_overflow), as the row-by-row %-format
+# rendered it
+LONGEST_TRACE_CSV_SHA256 = "3e31313bd6c44b733dd1fd449686232ba5227114e98d6d5fda0545dac87936de"
 
 # SHA-256 of repr(random_functional_graph(200, 0.1, seed=42).ids) as the
 # one-getrandbits(64)-per-id draw produced it: seeded ids are public results
@@ -259,16 +269,25 @@ def test_trace_structure_invariants():
         (build_rho(0, 3, ids=[1, 2, 3]), 0, 2),
         (build_rho(16, 16, seed=1), 3, 17),
         (build_chain(70_000, ids=range(70_000)), 0, 70_000),
+        (build_chain(2, ids=[5, 6]), 0, 8),
+        (build_chain(4096, seed=1), 0, 4096),
+        (build_chain(4097, seed=1), 0, 4097),
+        (build_chain(4098, seed=1), 0, 4098),
+        (build_rho(4000, 4500, seed=2), 0, 40_000),
     ],
     ids=["rho", "rho-seeded", "chain", "one-node", "self-loop", "duplicate-fires",
-         "duplicate-harmless", "budget-2", "budget-17", "hop-overflow"],
+         "duplicate-harmless", "budget-2", "budget-17", "hop-overflow", "one-row",
+         "rows-4095", "rows-4096", "rows-4097", "detected-12692"],
 )
 def test_steps_match_a_per_hop_recorder(graph, start, max_hops):
+    # the CSV blocks hold 4096 rows, so rows-4095..4097 straddle a block end
     trace = simulate(graph, start, max_hops)
     rows, outcome, at_hop = trace_rows_hop_by_hop(
         graph.ids, graph.succ, start, max_hops, receive_packet
     )
     assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+    label = outcome if at_hop is None else f"{outcome}({at_hop})"
+    assert trace_csv(trace) == trace_csv_row_by_row(rows, label)
     assert trace.steps == tuple(rows)
     assert all(type(step) is TraceStep for step in trace.steps)
     assert all(type(step.snapshot_taken) is bool for step in trace.steps)
@@ -452,3 +471,43 @@ def test_default_budget_ends_a_long_chain_by_hop_overflow():
     trace = simulate(build_chain(70_000, ids=range(70_000)), 0)
     assert trace.outcome is Outcome.HOP_OVERFLOW
     assert len(trace.nodes) == MAX_HOPS
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks(), st.data())
+def test_simulate_and_its_csv_follow_the_public_state_machine(walk, data):
+    graph, start = walk
+    budget = data.draw(st.none() | st.integers(1, 4 * (len(graph) + 1)), label="budget")
+    trace = simulate(graph, start, budget)
+    rows, outcome, at_hop = trace_rows_hop_by_hop(
+        graph.ids, graph.succ, start, MAX_HOPS + 1 if budget is None else budget, receive_packet
+    )
+    assert trace.nodes == tuple(row[1] for row in rows)
+    assert trace.tortoises == (graph.ids[start], *(row[2] for row in rows))
+    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+    label = outcome if at_hop is None else f"{outcome}({at_hop})"
+    assert trace_csv(trace) == trace_csv_row_by_row(rows, label)
+
+
+@pytest.fixture(scope="module")
+def longest_trace():
+    trace = simulate(build_chain(70_000, seed=5), 0)
+    assert trace.outcome is Outcome.HOP_OVERFLOW
+    assert len(trace.nodes) == MAX_HOPS
+    return trace
+
+
+def test_longest_trace_csv_is_pinned(longest_trace):
+    text = trace_csv(longest_trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == LONGEST_TRACE_CSV_SHA256
+
+
+def test_trace_csv_memory_is_bounded_on_the_longest_trace(longest_trace):
+    # a render without blocks peaked at 14.7 MB, a %-format per row at 9.3 MB
+    tracemalloc.start()
+    try:
+        trace_csv(longest_trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
