@@ -1,17 +1,18 @@
 """Node-id collision probabilities and detection-latency comparisons.
 
 A duplicate node id on a path is the only source of false-positive loop
-detection, and its likelihood is a birthday problem: n routers drawing
-b-bit ids uniformly at random. This module computes that probability
-exactly and via the standard exponential approximation, emits the grid
-as CSV for replotting, and tabulates detection latency against a plain
-hop-limit baseline.
+detection. This module computes the birthday chance that any two of n
+uniform b-bit ids coincide, exactly and via the standard exponential
+approximation, emits the grid as CSV for replotting, and tabulates
+detection latency against a plain hop-limit baseline. That chance only
+bounds false detection, which needs the receiver's id to equal the
+tortoise: on a loop-free path of h hops it is exactly 1 - (1 - 2**-b)**h.
 """
 
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .reference import CycleStructure, _check_count, predict_detection_hop
+from .reference import CycleStructure, _check_int, predict_detection_hop
 
 
 class CollisionQuery(NamedTuple):
@@ -151,12 +152,14 @@ def latency_table(
 ) -> list[LatencyRow]:
     """Detection hop of the in-band scheme vs a hop-limit baseline.
 
-    ``brent_hop`` comes from the closed-form predictor; callers that emit
-    tables externally should cross-check it against a live simulation. A
-    pure hop-limit scheme halts a looping packet exactly at ``ttl``,
-    whatever the loop's shape.
+    ``brent_hop`` comes from the closed-form predictor for an unbounded
+    counter, so it can exceed MAX_HOPS (105536 for mu = 0, lam = 40000),
+    where the packet expires by hop overflow first (``loopdetect latency``
+    exits 2); callers that emit tables externally should cross-check it
+    against a live simulation. A pure hop-limit scheme halts a looping
+    packet exactly at ``ttl``, whatever the loop's shape.
     """
-    _check_count("ttl", ttl, 1)
+    _check_int("ttl", ttl, 1)
     rows = []
     for case in cases:
         brent_hop = predict_detection_hop(case)
@@ -175,6 +178,6 @@ def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
 
 def _checked(query: CollisionQuery) -> CollisionQuery:
     n, b = query
-    _check_count("path_length", n, 1)
-    _check_count("id_bits", b, 1, 128)
+    _check_int("path_length", n, 1)
+    _check_int("id_bits", b, 1, 128)
     return query

@@ -13,6 +13,7 @@ digest, never excluded from it.
 import struct
 
 from .core import MAX_HOPS, MAX_NODE_ID, LoopHeader
+from .reference import _check_int
 from .vid import MAX_NONCE
 
 HEADER_LEN = 14
@@ -30,18 +31,13 @@ def encode(header: LoopHeader, nonce: int) -> bytes:
     """Pack a header and nonce into the 14-byte wire form."""
     tortoise, hops = header
     try:
-        # struct checks the type and range of every field; the checks below
-        # only name the offending one
-        return _pack(tortoise, hops, nonce)
+        return _pack(tortoise, hops, nonce)  # struct decides what it packs
     except struct.error:
-        fields = (("tortoise", tortoise, MAX_NODE_ID), ("hops", hops, MAX_HOPS),
-                  ("nonce", nonce, MAX_NONCE))
-        for name, value, top in fields:
-            if not isinstance(value, int):
-                raise ValueError(f"{name} is not an integer: {value!r}") from None
-            if not 0 <= value <= top:
-                raise ValueError(f"{name} out of range: {value!r}") from None
-        raise
+        pass  # name the refused field below, with no struct error chained
+    _check_int("tortoise", tortoise, 0, MAX_NODE_ID)
+    _check_int("hops", hops, 0, MAX_HOPS)
+    _check_int("nonce", nonce, 0, MAX_NONCE)
+    return _pack(tortoise, hops, nonce)  # not reached: struct refuses no valid field
 
 
 def decode(wire: bytes) -> tuple[LoopHeader, int]:

@@ -15,6 +15,8 @@ kernel directly.
 
 from typing import NamedTuple
 
+from .reference import _check_int
+
 NODE_ID_BITS = 64
 MAX_NODE_ID = 2**NODE_ID_BITS - 1
 MAX_HOPS = 2**16 - 1
@@ -52,10 +54,7 @@ _new = tuple.__new__
 
 def initialize_packet(origin: int) -> LoopHeader:
     """Fresh header at the originating node: tortoise = origin, hops = 0."""
-    if type(origin) is not int:
-        raise ValueError(f"node id not an int: {origin!r}")
-    if not 0 <= origin <= MAX_NODE_ID:
-        raise ValueError(f"node id out of range: {origin!r}")
+    _check_int("node id", origin, 0, MAX_NODE_ID)
     return _new(LoopHeader, (origin, 0))
 
 
@@ -87,8 +86,8 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     a detected loop means drop, log, or signal upstream is forwarding
     policy and out of scope here.
     """
-    if not 0 <= receiver <= MAX_NODE_ID:
-        raise ValueError(f"node id out of range: {receiver!r}")
+    if type(receiver) is not int or not 0 <= receiver <= MAX_NODE_ID:
+        _check_int("node id", receiver, 0, MAX_NODE_ID)  # per hop: called only to raise
     tortoise, hops = header
     fields = _transition(tortoise, hops, receiver)
     if fields is None:

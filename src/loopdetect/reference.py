@@ -11,7 +11,7 @@ A successor function maps an element to its next element, or to None for
 a terminal (an element with no successor). It must be deterministic and
 effectively immutable for the duration of a call.
 
-The package's one count check, ``_check_count``, lives here because this
+The package's one integer check, ``_check_int``, lives here because this
 module imports nothing from the package: the oracles can use it without
 depending on the code they verify, and every other module imports it from
 here.
@@ -22,8 +22,8 @@ from typing import Any, Callable, NamedTuple, Optional
 NextFn = Callable[[Any], Optional[Any]]
 
 
-def _check_count(name: str, value, least: int, most: int | None = None) -> None:
-    """The one check of every size, budget and width: ValueError naming ``value``
+def _check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """The one check of every integer argument: ValueError naming ``value``
     unless it is exactly an int (True and 1.0 fail) in [least, most or no end]."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
@@ -64,7 +64,7 @@ def brent_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     off a terminal. Raises StepBudgetExceeded after ``max_steps`` successor
     evaluations without either.
     """
-    _check_count("max_steps", max_steps, 1)
+    _check_int("max_steps", max_steps, 1)
     tortoise = hare = start
     power = 2
     for step in range(1, max_steps + 1):
@@ -87,7 +87,7 @@ def floyd_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     hare reaches a terminal. The budget counts successor evaluations, like
     brent_detect.
     """
-    _check_count("max_steps", max_steps, 1)
+    _check_int("max_steps", max_steps, 1)
     tortoise = hare = start
     for step in range(1, max_steps + 1):
         if step % 3:
@@ -110,7 +110,7 @@ def visited_set_oracle(
     here it only verifies the others. Returns the exact (mu, lam) on the
     first revisit, or None if the walk reaches a terminal.
     """
-    _check_count("max_steps", max_steps, 1)
+    _check_int("max_steps", max_steps, 1)
     first_seen = {start: 0}
     elem = start
     for step in range(1, max_steps + 1):
@@ -140,8 +140,8 @@ def predict_detection_hop(structure: CycleStructure) -> int:
     authoritative.
     """
     mu, lam = structure
-    _check_count("tail length", mu, 0)
-    _check_count("cycle length", lam, 1)
+    _check_int("tail length", mu, 0)
+    _check_int("cycle length", lam, 1)
     if mu == 0 and lam == 1:
         return 1
     p = 1

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition, initialize_packet
 from .core import receive_packet  # not called here; bench/tracing.py wraps this name
-from .reference import _check_count
+from .reference import _check_int
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 
@@ -58,15 +58,13 @@ class FunctionalGraph:
             raise ValueError("graph needs at least one node")
         if len(self.succ) != n:
             raise ValueError("ids and succ must have equal length")
+        # exactly int, as %x and the codec need; _check_int is called only to raise
         for value in self.ids:
-            # exactly int: a float id would format as neither %x nor wire bytes
             if type(value) is not int or not 0 <= value <= MAX_NODE_ID:
-                fault = "out of range" if type(value) is int else "not an int"
-                raise ValueError(f"node id {fault}: {value!r}")
+                _check_int("node id", value, 0, MAX_NODE_ID)
         for nxt in self.succ:
             if nxt is not None and (type(nxt) is not int or not 0 <= nxt < n):
-                fault = "out of range" if type(nxt) is int else "not an int"
-                raise ValueError(f"successor index {fault}: {nxt!r}")
+                _check_int("successor index", nxt, 0, n - 1)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,8 +135,8 @@ def build_rho(
     -> mu. Ids may be given explicitly (length must be mu + lam) or are
     drawn distinct from the 64-bit space using ``seed``.
     """
-    _check_count("tail length", mu, 0)
-    _check_count("cycle length", lam, 1)
+    _check_int("tail length", mu, 0)
+    _check_int("cycle length", lam, 1)
     n = mu + lam
     node_ids = _resolve_ids(n, ids, seed)
     succ = tuple(range(1, n)) + (mu,)
@@ -151,7 +149,7 @@ def build_chain(
     seed: Optional[int] = None,
 ) -> FunctionalGraph:
     """Loop-free path of ``length`` nodes ending in a terminal."""
-    _check_count("chain length", length, 1)
+    _check_int("chain length", length, 1)
     node_ids = _resolve_ids(length, ids, seed)
     succ = tuple(range(1, length)) + (None,)
     return FunctionalGraph(node_ids, succ)
@@ -175,7 +173,7 @@ def random_functional_graph(
 ) -> FunctionalGraph:
     """Uniform random successor per node, replaced by a terminal with
     probability ``terminal_prob``. Deterministic for a fixed seed."""
-    _check_count("n", n, 1)
+    _check_int("n", n, 1)
     if not 0.0 <= terminal_prob <= 1.0:
         raise ValueError(f"terminal_prob must be within [0, 1], got {terminal_prob!r}")
     rng = random.Random(seed)
@@ -222,7 +220,7 @@ def simulate(
     """
     graph._check_position("start", start)
     max_hops = MAX_HOPS + 1 if max_hops is None else max_hops
-    _check_count("max_hops", max_hops, 1)
+    _check_int("max_hops", max_hops, 1)
     ids = graph.ids
     succ = graph.succ
     # the module global, read per run, so a wrapped kernel is seen; the

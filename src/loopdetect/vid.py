@@ -14,6 +14,8 @@ precisely so that downstream nodes can recompute their own virtual id.
 
 import hashlib
 
+from .reference import _check_int
+
 TRUE_ID_LEN = 32
 DIGEST_LEN = 32
 MAX_NONCE = 2**32 - 1
@@ -26,8 +28,8 @@ def packet_digest(payload: bytes, nonce: int) -> bytes:
     nonce must be fresh per retransmission of the same packet; that is
     the caller's obligation.
     """
-    if not 0 <= nonce <= MAX_NONCE:
-        raise ValueError(f"nonce out of range: {nonce!r}")
+    if type(nonce) is not int or not 0 <= nonce <= MAX_NONCE:
+        _check_int("nonce", nonce, 0, MAX_NONCE)  # per hop: called only to raise
     return hashlib.sha256(nonce.to_bytes(4, "big") + payload).digest()
 
 

@@ -8,7 +8,8 @@ probability is computed in exact big-integer arithmetic, and, for path
 lengths too long for that, as a plain term-by-term log1p sum. Seeded node
 ids are drawn one ``getrandbits(64)`` call at a time. Trace rows are
 recorded one per hop as the packet moves, and rendered as CSV one
-``%``-formatted line per row.
+``%``-formatted line per row. A rejection is read as the exact ValueError
+a call raises.
 """
 
 import math
@@ -169,3 +170,14 @@ def naive_is_power_of_two(value: int) -> bool:
     while p < value:
         p *= 2
     return p == value and value > 0
+
+
+def rejection(function, *args) -> str:
+    """The message of the ValueError ``function(*args)`` raises; fails if it
+    raises nothing, or a subclass of ValueError."""
+    try:
+        function(*args)
+    except ValueError as exc:
+        assert type(exc) is ValueError, repr(exc)
+        return str(exc)
+    raise AssertionError(f"{function.__name__}{args!r} raised nothing")

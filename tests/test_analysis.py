@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +10,15 @@ from loopdetect import (
     DEFAULT_PATH_LENGTHS,
     CollisionQuery,
     CycleStructure,
+    FunctionalGraph,
+    Outcome,
     collision_csv,
     collision_probability_approx,
     collision_probability_exact,
     collision_table,
     latency_csv,
     latency_table,
+    simulate,
 )
 from oracles import exact_collision_fraction, log_sum_collision_probability
 
@@ -221,3 +226,19 @@ def test_exact_huge_length_saturates():
         1.0, abs=1e-12
     )
     assert math.isfinite(collision_probability_exact(CollisionQuery(2**16, 24)))
+
+
+@pytest.mark.parametrize("bits, longest", [(1, 6), (2, 6), (3, 5)])
+def test_false_fire_rate_on_a_loop_free_path_is_exact(bits, longest):
+    # detection fires only when the receiver's id equals the tortoise, so over
+    # every b-bit id assignment of a chain of h hops the share that fires is
+    # exactly 1 - (1 - 2**-b)**h, bounded by the birthday chance of a duplicate
+    for n in range(1, longest + 1):
+        succ = tuple(range(1, n)) + (None,)
+        fired = sum(
+            simulate(FunctionalGraph(ids, succ), 0).outcome is Outcome.DETECTED
+            for ids in itertools.product(range(2**bits), repeat=n)
+        )
+        share, hops = Fraction(fired, 2 ** (bits * n)), n - 1
+        assert share == 1 - (1 - Fraction(1, 2**bits)) ** hops
+        assert share <= exact_collision_fraction(n, bits)

@@ -1,26 +1,36 @@
-"""Every size, budget and width argument, and the origin id given to
-initialize_packet, is exactly an int, checked once at the function that
-takes it: a float or a bool raises ValueError naming the value, never a
-TypeError from deeper down and never a result."""
+"""Every integer argument is exactly an int in its range, checked once, at
+the function that takes it, by the one rule ``reference._check_int``: sizes,
+budgets and widths, node ids (graph ids and successor indices, the origin,
+the receiver), the nonce, and the wire fields ``encode`` packs. Anything
+else, a float or a bool included, raises ValueError with that rule's
+message, never a TypeError from deeper down and never a result. This table
+is the one place that pins those messages."""
 
 import math
-import re
 
 import pytest
 
 from loopdetect import (
     CollisionQuery,
     CycleStructure,
+    FunctionalGraph,
+    LoopHeader,
     build_chain,
     build_rho,
     collision_probability_approx,
     collision_probability_exact,
+    encode,
     initialize_packet,
     latency_table,
+    packet_digest,
     predict_detection_hop,
     random_functional_graph,
+    receive_packet,
     simulate,
 )
+from oracles import rejection
+
+ID_RANGE = "[0, 18446744073709551615]"
 
 
 # id -> (function, args, the exact ValueError message)
@@ -63,14 +73,95 @@ CASES = {
     "predict-mu-bool": (
         predict_detection_hop, (CycleStructure(False, 2),), "tail length must be an int, got False"
     ),
-    "initialize_packet-float": (initialize_packet, (2.5,), "node id not an int: 2.5"),
-    "initialize_packet-bool": (initialize_packet, (True,), "node id not an int: True"),
+    "initialize_packet-float": (initialize_packet, (2.5,), "node id must be an int, got 2.5"),
+    "initialize_packet-bool": (initialize_packet, (True,), "node id must be an int, got True"),
+    "initialize_packet-negative": (
+        initialize_packet, (-1,), f"node id must be within {ID_RANGE}, got -1"
+    ),
+    "initialize_packet-2**64": (
+        initialize_packet, (2**64,), f"node id must be within {ID_RANGE}, got {2**64}"
+    ),
+    # a bool or a float receiver used to be accepted into the header
+    "receive_packet-bool": (
+        receive_packet, (initialize_packet(5), True), "node id must be an int, got True"
+    ),
+    "receive_packet-float": (
+        receive_packet, (initialize_packet(5), 1.0), "node id must be an int, got 1.0"
+    ),
+    "receive_packet-negative": (
+        receive_packet, (initialize_packet(5), -1), f"node id must be within {ID_RANGE}, got -1"
+    ),
+    "receive_packet-2**64": (
+        receive_packet,
+        (initialize_packet(5), 2**64),
+        f"node id must be within {ID_RANGE}, got {2**64}",
+    ),
+    # True used to hash as nonce 1, and 1.0 to leak AttributeError
+    "packet_digest-bool": (packet_digest, (b"", True), "nonce must be an int, got True"),
+    "packet_digest-float": (packet_digest, (b"", 1.0), "nonce must be an int, got 1.0"),
+    "packet_digest-negative": (
+        packet_digest, (b"", -1), "nonce must be within [0, 4294967295], got -1"
+    ),
+    "packet_digest-2**32": (
+        packet_digest, (b"", 2**32), f"nonce must be within [0, 4294967295], got {2**32}"
+    ),
+    # caught at construction, not later in trace_csv's %x or the wire codec
+    "graph-id-bool": (
+        FunctionalGraph, ((True, 2), (None, None)), "node id must be an int, got True"
+    ),
+    "graph-id-float": (
+        FunctionalGraph, ((0.5, 1.5, 2.5), (1, 2, None)), "node id must be an int, got 0.5"
+    ),
+    "graph-id-str": (
+        FunctionalGraph, ((1, 2, "3"), (1, 2, None)), "node id must be an int, got '3'"
+    ),
+    "graph-id-2**64": (
+        FunctionalGraph, ((1, 2**64), (1, None)), f"node id must be within {ID_RANGE}, got {2**64}"
+    ),
+    "build_rho-ids-float": (build_rho, (1, 2, [1, 2.0, 3]), "node id must be an int, got 2.0"),
+    # 1.0 used to pass the range test and fail mid-walk; True ran as index 1
+    "graph-successor-float": (
+        FunctionalGraph, ((5, 6), (1.0, None)), "successor index must be an int, got 1.0"
+    ),
+    "graph-successor-bool": (
+        FunctionalGraph, ((5, 6), (True, None)), "successor index must be an int, got True"
+    ),
+    "graph-successor-range": (
+        FunctionalGraph, ((5, 6), (2, None)), "successor index must be within [0, 1], got 2"
+    ),
+    # struct packs what it can (a bool as 0/1); the first field it refuses is named
+    "encode-tortoise-negative": (
+        encode, (LoopHeader(-1, 0), 0), f"tortoise must be within {ID_RANGE}, got -1"
+    ),
+    "encode-tortoise-2**64": (
+        encode, (LoopHeader(2**64, 0), 0), f"tortoise must be within {ID_RANGE}, got {2**64}"
+    ),
+    "encode-hops-negative": (
+        encode, (LoopHeader(0, -1), 0), "hops must be within [0, 65535], got -1"
+    ),
+    "encode-hops-2**16": (
+        encode, (LoopHeader(0, 2**16), 0), "hops must be within [0, 65535], got 65536"
+    ),
+    "encode-nonce-negative": (
+        encode, (LoopHeader(0, 0), -1), "nonce must be within [0, 4294967295], got -1"
+    ),
+    "encode-nonce-2**32": (
+        encode, (LoopHeader(0, 0), 2**32), f"nonce must be within [0, 4294967295], got {2**32}"
+    ),
+    "encode-tortoise-float": (encode, (LoopHeader(1.5, 0), 0), "tortoise must be an int, got 1.5"),
+    "encode-hops-float": (encode, (LoopHeader(0, 1.5), 0), "hops must be an int, got 1.5"),
+    "encode-nonce-float": (encode, (LoopHeader(0, 0), 1.5), "nonce must be an int, got 1.5"),
+    "encode-all-bad-tortoise-first": (
+        encode, (LoopHeader(-1, 1.5), 2**32), f"tortoise must be within {ID_RANGE}, got -1"
+    ),
+    "encode-hops-before-nonce": (
+        encode, (LoopHeader(0, 2**16), 1.5), "hops must be within [0, 65535], got 65536"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_count_arguments_must_be_exact_ints(case):
+    """Each integer argument's rejection: exactly ValueError, exactly this message."""
     function, args, message = CASES[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
-        function(*args)
-    assert type(caught.value) is ValueError
+    assert rejection(function, *args) == message

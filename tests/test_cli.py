@@ -139,7 +139,7 @@ def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
         (["latency", "--mu", "-1", "--lambda", "1"], "tail length must be >= 0, got -1"),
         (["collisions", "--bits", "129"], "id_bits must be within [1, 128], got 129"),
         (["collisions", "--bits", "24", "--lengths", "16", "0"], "path_length must be >= 1, got 0"),
-        (["header", "encode", "--hops", "70000"], "hops out of range: 70000"),
+        (["header", "encode", "--hops", "70000"], "hops must be within [0, 65535], got 70000"),
     ],
 )
 def test_library_rejection_names_the_value_and_writes_nothing(tmp_path, capsys, argv, message):

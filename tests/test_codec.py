@@ -4,7 +4,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from loopdetect import HEADER_LEN, LoopHeader, Truncated, decode, encode
+from loopdetect import (
+    HEADER_LEN,
+    MAX_HOPS,
+    MAX_NODE_ID,
+    MAX_NONCE,
+    FunctionalGraph,
+    HopOverflow,
+    LoopHeader,
+    Truncated,
+    build_chain,
+    build_rho,
+    decode,
+    encode,
+    initialize_packet,
+    packet_digest,
+    receive_packet,
+    simulate,
+    virtual_id,
+)
+from loopdetect.reference import _check_int
+from loopdetect.vid import TRUE_ID_LEN
+from oracles import rejection
+
+FIELD_TOPS = {"tortoise": MAX_NODE_ID, "hops": MAX_HOPS, "nonce": MAX_NONCE}
 
 PINNED_WIRE = bytes.fromhex("0102030405060708090a0b0c0d0e")
 
@@ -88,10 +111,12 @@ def test_roundtrip_property(tortoise, hops, nonce):
     ],
 )
 def test_encode_rejects_out_of_range(tortoise, hops, nonce):
-    fields = (("tortoise", tortoise, 2**64), ("hops", hops, 2**16), ("nonce", nonce, 2**32))
-    field = next(name for name, value, bound in fields if not 0 <= value < bound)
-    with pytest.raises(ValueError, match=f"^{field} out of range"):
-        encode(LoopHeader(tortoise, hops), nonce)
+    # the one integer rule's rejection of the bad field; tests/test_arguments.py
+    # pins its wording
+    values = {"tortoise": tortoise, "hops": hops, "nonce": nonce}
+    field = next(name for name, top in FIELD_TOPS.items() if not 0 <= values[name] <= top)
+    expected = rejection(_check_int, field, values[field], 0, FIELD_TOPS[field])
+    assert rejection(encode, LoopHeader(tortoise, hops), nonce) == expected
 
 
 @pytest.mark.parametrize(
@@ -99,6 +124,55 @@ def test_encode_rejects_out_of_range(tortoise, hops, nonce):
     [("tortoise", 1.5, 0, 0), ("hops", 0, 1.5, 0), ("nonce", 0, 0, 1.5)],
 )
 def test_encode_rejects_non_integer_field(field, tortoise, hops, nonce):
-    # a ValueError that names the field, never struct's own error
-    with pytest.raises(ValueError, match=rf"^{field} is not an integer: 1\.5$"):
+    # a ValueError that names the field, never struct's own error, chained or not
+    expected = rejection(_check_int, field, 1.5, 0, FIELD_TOPS[field])
+    with pytest.raises(ValueError) as caught:
         encode(LoopHeader(tortoise, hops), nonce)
+    assert str(caught.value) == expected
+    assert caught.value.__context__ is None and caught.value.__cause__ is None
+
+
+def walk_the_wire(succ, trueids, payload, nonce):
+    """(outcome, hop) of one packet that crosses every hop as wire bytes:
+    each receiver decodes the header, derives its virtual id from the
+    packet digest, runs the receive step and re-encodes. Asserts that the
+    payload and nonce reach every hop unchanged."""
+    origin = virtual_id(trueids[0], packet_digest(payload, nonce))
+    wire = encode(initialize_packet(origin), nonce) + payload
+    pos = 0
+    for hop in range(1, MAX_HOPS + 2):
+        nxt = succ[pos]
+        if nxt is None:
+            return "terminated", hop
+        header, seen_nonce = decode(wire)
+        body = wire[HEADER_LEN:]
+        assert (body, seen_nonce) == (payload, nonce)
+        receiver = virtual_id(trueids[nxt], packet_digest(body, seen_nonce))
+        try:
+            detected, updated = receive_packet(header, receiver)
+        except HopOverflow:
+            return "hop_overflow", None
+        if detected:
+            return "detected", hop
+        wire = encode(updated, seen_nonce) + body
+        pos = nxt
+    raise AssertionError("the hop counter did not bound the walk")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_rho(0, 1), build_rho(2, 4), build_rho(16, 16), build_rho(300, 700),
+     build_chain(1), build_chain(5), build_chain(1000), build_chain(70_000)],
+    ids=["rho-0-1", "rho-2-4", "rho-16-16", "rho-300-700",
+         "chain-1", "chain-5", "chain-1000", "chain-70000"],
+)
+def test_a_packet_walked_through_wire_bytes_matches_simulate(graph):
+    rng = random.Random(len(graph))
+    blob = rng.randbytes(TRUE_ID_LEN * len(graph))
+    trueids = [blob[i : i + TRUE_ID_LEN] for i in range(0, len(blob), TRUE_ID_LEN)]
+    payload, nonce = rng.randbytes(16), rng.getrandbits(32)
+    digest = packet_digest(payload, nonce)
+    vids = tuple(virtual_id(trueid, digest) for trueid in trueids)
+    trace = simulate(FunctionalGraph(vids, graph.succ), 0)
+    expected = (trace.outcome.value, trace.at_hop)
+    assert walk_the_wire(graph.succ, trueids, payload, nonce) == expected

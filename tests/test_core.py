@@ -12,7 +12,8 @@ from loopdetect import (
     receive_packet,
 )
 from loopdetect.core import _DETECTED, _transition
-from oracles import naive_is_power_of_two
+from loopdetect.reference import _check_int
+from oracles import naive_is_power_of_two, rejection
 
 node_ids = st.integers(min_value=0, max_value=MAX_NODE_ID)
 
@@ -26,8 +27,9 @@ def test_initialize_packet(origin):
 
 @pytest.mark.parametrize("origin", [-1, MAX_NODE_ID + 1])
 def test_initialize_packet_rejects_out_of_range(origin):
-    with pytest.raises(ValueError, match=f"^node id out of range: {origin}$"):
-        initialize_packet(origin)
+    # the one integer rule's rejection; tests/test_arguments.py pins its wording
+    expected = rejection(_check_int, "node id", origin, 0, MAX_NODE_ID)
+    assert rejection(initialize_packet, origin) == expected
 
 
 def test_receive_detects_at_origin_self_loop():
@@ -50,8 +52,8 @@ def test_receive_keeps_tortoise_off_schedule():
 
 @pytest.mark.parametrize("receiver", [-1, MAX_NODE_ID + 1])
 def test_receive_rejects_out_of_range_receiver(receiver):
-    with pytest.raises(ValueError, match="node id out of range"):
-        receive_packet(LoopHeader(tortoise=1, hops=0), receiver)
+    expected = rejection(_check_int, "node id", receiver, 0, MAX_NODE_ID)
+    assert rejection(receive_packet, LoopHeader(tortoise=1, hops=0), receiver) == expected
 
 
 @pytest.mark.parametrize("header,receiver", [(LoopHeader(5, 0), 5), (LoopHeader(1, 1), 2)])

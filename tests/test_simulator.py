@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loopdetect import (
     MAX_HOPS,
+    MAX_NODE_ID,
     BadArity,
     BadIndex,
     CycleStructure,
@@ -24,10 +25,12 @@ from loopdetect import (
     trace_csv,
     visited_set_oracle,
 )
+from loopdetect.reference import _check_int
 from loopdetect.simulator import REACH, _draw_distinct_ids, build_within_reach
 from oracles import (
     distinct_ids_one_at_a_time,
     naive_is_power_of_two,
+    rejection,
     trace_csv_row_by_row,
     trace_rows_hop_by_hop,
 )
@@ -99,18 +102,20 @@ def test_functional_graph_validation():
     [([0.5, 1.5, 2.5], "0.5"), ([1, 2.0, 3], "2.0"), ([1, 2, "3"], "'3'")],
 )
 def test_graph_rejects_ids_that_are_not_ints(ids, rejected):
-    # caught at construction, not later in trace_csv's %x or the wire codec
-    with pytest.raises(ValueError, match=f"^node id not an int: {rejected}$"):
-        build_rho(1, 2, ids=ids)
-    with pytest.raises(ValueError, match=f"^node id not an int: {rejected}$"):
-        FunctionalGraph(tuple(ids), (1, 2, None))
+    # the one integer rule's rejection of the first bad id, from build_rho
+    # and the graph alike; tests/test_arguments.py pins its wording
+    bad = next(value for value in ids if type(value) is not int)
+    assert repr(bad) == rejected
+    expected = rejection(_check_int, "node id", bad, 0, MAX_NODE_ID)
+    assert rejection(build_rho, 1, 2, ids) == expected
+    assert rejection(FunctionalGraph, tuple(ids), (1, 2, None)) == expected
 
 
 @pytest.mark.parametrize("succ, rejected", [((1.0, None), "1.0"), ((True, None), "True")])
 def test_graph_rejects_successors_that_are_not_ints(succ, rejected):
-    # 1.0 passed the range test and failed mid-walk; True ran as index 1
-    with pytest.raises(ValueError, match=f"^successor index not an int: {rejected}$"):
-        FunctionalGraph((5, 6), succ)
+    assert repr(succ[0]) == rejected
+    expected = rejection(_check_int, "successor index", succ[0], 0, 1)
+    assert rejection(FunctionalGraph, (5, 6), succ) == expected
 
 
 def test_random_graph_single_node_no_terminal():
