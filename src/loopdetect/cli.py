@@ -1,15 +1,15 @@
 """Command-line front end: simulation traces, collision tables, latency
 tables, and header encode/decode, all as deterministic CSV/text.
 
-Exit codes: 0 success, 2 hop overflow or the --max-hops budget exhausted
-(for latency: the loop lies past the hop-counter horizon),
-3 internal invariant breach (predictor disagrees with simulation),
-64 an argument that argparse rejects or that the library function it
-reaches rejects (the message is the library's, after the subcommand's
-usage line), 65 header decode input that is not hex or is shorter than
-14 bytes, 73 the --out file cannot be written. Handlers do not repeat a
-check the library makes. Randomized subcommands take a seed (defaulted
-if omitted) and echo it, so every output is replayable.
+Exit codes: 0 success, 2 hop overflow (for latency: the loop lies past
+the hop-counter horizon), 3 internal invariant breach (predictor
+disagrees with simulation), 64 an argument that argparse rejects or
+that the library function it reaches rejects (the message is the
+library's, after the subcommand's usage line), 65 header decode input
+that is not hex or is shorter than 14 bytes, 73 the --out file cannot
+be written. Handlers do not repeat a check the library makes.
+Randomized subcommands take a seed (defaulted if omitted) and echo it,
+so every output is replayable.
 main() may be called repeatedly in one process: it builds its parser
 once, on the first call, and parses each call into a fresh namespace.
 """
@@ -74,8 +74,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--lambda", dest="lam", type=int, help="cycle length of a rho topology")
     p_sim.add_argument("--chain", type=int, help="loop-free chain of this many nodes")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="node-id seed (default 0)")
-    p_sim.add_argument("--max-hops", type=int,
-                       help="hop budget (default: until the hop counter overflows)")
     p_sim.set_defaults(handler=_cmd_simulate, parser=p_sim)
 
     p_col = sub.add_parser("collisions", parents=[out],
@@ -116,11 +114,9 @@ def _cmd_simulate(args) -> int:
     elif args.mu is None or args.lam is None:
         raise ValueError("simulate needs --mu and --lambda, or --chain")
     graph = simulator.build_within_reach(args.mu, args.lam, args.chain, seed=args.seed)
-    trace = simulator.simulate(graph, 0, args.max_hops)
+    trace = simulator.simulate(graph, 0)
     _emit(args.out, f"# seed={args.seed}\n" + simulator.trace_csv(trace))
-    if trace.outcome in (simulator.Outcome.DETECTED, simulator.Outcome.TERMINATED):
-        return EX_OK
-    return EX_RUNTIME
+    return EX_RUNTIME if trace.outcome is simulator.Outcome.HOP_OVERFLOW else EX_OK
 
 
 def _cmd_collisions(args) -> int:

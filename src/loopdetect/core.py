@@ -82,13 +82,18 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     hop is itself is caught at hop 1 against the origin's own
     initialization snapshot.
 
-    Raises HopOverflow when the hop counter is already saturated; whether
-    a detected loop means drop, log, or signal upstream is forwarding
-    policy and out of scope here.
+    Raises HopOverflow at a saturated counter, and ValueError for a field
+    no wire header can carry; whether a detected loop means drop, log, or
+    signal upstream is forwarding policy and out of scope here.
     """
-    if type(receiver) is not int or not 0 <= receiver <= MAX_NODE_ID:
-        _check_int("node id", receiver, 0, MAX_NODE_ID)  # per hop: called only to raise
     tortoise, hops = header
+    # per hop: one exact inline test; _check_int, called only to raise, names
+    # the first bad value, in encode's field order and then the receiver
+    if not (type(tortoise) is type(hops) is type(receiver) is int and 0 <= hops <= MAX_HOPS
+            and 0 <= tortoise <= MAX_NODE_ID and 0 <= receiver <= MAX_NODE_ID):
+        _check_int("tortoise", tortoise, 0, MAX_NODE_ID)
+        _check_int("hops", hops, 0, MAX_HOPS)
+        _check_int("node id", receiver, 0, MAX_NODE_ID)
     fields = _transition(tortoise, hops, receiver)
     if fields is None:
         return _DETECTED

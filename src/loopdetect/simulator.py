@@ -81,7 +81,6 @@ class FunctionalGraph:
 class Outcome(Enum):
     DETECTED = "detected"
     TERMINATED = "terminated"
-    BUDGET_EXHAUSTED = "budget_exhausted"
     HOP_OVERFLOW = "hop_overflow"
 
 
@@ -102,9 +101,9 @@ class SimTrace:
     ``nodes[i]`` is the receiver at hop i + 1. ``tortoises[0]`` is the
     origin and ``tortoises[i]`` the tortoise after hop i, so there is one
     more tortoise than there are nodes; a detecting hop repeats the
-    tortoise before it. ``at_hop`` is the detection hop for DETECTED, and
-    for TERMINATED the index of the hop that would have left the graph; it
-    is None for the budget and overflow outcomes.
+    tortoise before it. ``at_hop`` is the header's ``hops + 1`` at the hop
+    that ended the walk: the detection hop for DETECTED, and for TERMINATED
+    the hop that would have left the graph. It is None for HOP_OVERFLOW.
     """
 
     nodes: tuple[int, ...]
@@ -205,22 +204,16 @@ def inject_duplicate(
     return FunctionalGraph(tuple(ids), graph.succ)
 
 
-def simulate(
-    graph: FunctionalGraph, start: int, max_hops: Optional[int] = None
-) -> SimTrace:
-    """Forward one packet from ``start`` until it loops, exits, or expires.
+def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
+    """Forward one packet from ``start`` until it loops, exits, or its own
+    hop counter overflows, which bounds every walk to MAX_HOPS + 1 hops.
 
     Initializes the header at the start node, then repeatedly moves to the
     successor and applies core's transition kernel, the one state machine
     behind receive_packet. All terminal conditions are encoded in the
-    outcome, never raised. By default the hop counter alone bounds the
-    walk, which ends by hop MAX_HOPS + 1; only an explicit ``max_hops``
-    can end it in BUDGET_EXHAUSTED. BadIndex if ``start`` is
-    not an int in [0, n); ValueError if ``max_hops`` is not an int >= 1.
+    outcome, never raised. BadIndex if ``start`` is not an int in [0, n).
     """
     graph._check_position("start", start)
-    max_hops = MAX_HOPS + 1 if max_hops is None else max_hops
-    _check_int("max_hops", max_hops, 1)
     ids = graph.ids
     succ = graph.succ
     # the module global, read per run, so a wrapped kernel is seen; the
@@ -233,27 +226,21 @@ def simulate(
     add_tortoise = tortoises.append
     pos = start
     try:
-        for hop in range(1, max_hops + 1):
-            nxt = succ[pos]
-            if nxt is None:
-                return _trace(nodes, tortoises, Outcome.TERMINATED, hop)
-            node_id = ids[nxt]
+        while True:
+            pos = succ[pos]
+            if pos is None:
+                return SimTrace(tuple(nodes), tuple(tortoises), Outcome.TERMINATED, hops + 1)
+            node_id = ids[pos]
             fields = step(tortoise, hops, node_id)
             add_node(node_id)
             if fields is None:
                 # the tortoise stands, so the row shows no snapshot
                 add_tortoise(tortoise)
-                return _trace(nodes, tortoises, Outcome.DETECTED, hop)
+                return SimTrace(tuple(nodes), tuple(tortoises), Outcome.DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
-            pos = nxt
     except HopOverflow:
-        return _trace(nodes, tortoises, Outcome.HOP_OVERFLOW, None)
-    return _trace(nodes, tortoises, Outcome.BUDGET_EXHAUSTED, None)
-
-
-def _trace(nodes, tortoises, outcome, at_hop) -> SimTrace:
-    return SimTrace(tuple(nodes), tuple(tortoises), outcome, at_hop)
+        return SimTrace(tuple(nodes), tuple(tortoises), Outcome.HOP_OVERFLOW, None)
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"

@@ -28,16 +28,26 @@ def packet_digest(payload: bytes, nonce: int) -> bytes:
     nonce must be fresh per retransmission of the same packet; that is
     the caller's obligation.
     """
-    if type(nonce) is not int or not 0 <= nonce <= MAX_NONCE:
-        _check_int("nonce", nonce, 0, MAX_NONCE)  # per hop: called only to raise
+    # per hop: one exact inline test, the checks called only to raise
+    if type(payload) is not bytes or type(nonce) is not int or not 0 <= nonce <= MAX_NONCE:
+        _check_bytes("payload", payload)
+        _check_int("nonce", nonce, 0, MAX_NONCE)
     return hashlib.sha256(nonce.to_bytes(4, "big") + payload).digest()
 
 
 def virtual_id(trueid: bytes, digest: bytes) -> int:
     """Node id for one packet: first 8 bytes, big-endian, of
     SHA-256(trueid || digest)."""
-    if len(trueid) != TRUE_ID_LEN:
-        raise ValueError(f"trueid must be {TRUE_ID_LEN} bytes, got {len(trueid)}")
-    if len(digest) != DIGEST_LEN:
-        raise ValueError(f"digest must be {DIGEST_LEN} bytes, got {len(digest)}")
+    if type(trueid) is not bytes or len(trueid) != TRUE_ID_LEN:
+        _check_bytes("trueid", trueid, TRUE_ID_LEN)
+    if type(digest) is not bytes or len(digest) != DIGEST_LEN:
+        _check_bytes("digest", digest, DIGEST_LEN)
     return int.from_bytes(hashlib.sha256(trueid + digest).digest()[:8], "big")
+
+
+def _check_bytes(name: str, value, length: int | None = None) -> None:
+    """ValueError naming the type or length of ``value`` unless it is bytes of ``length``."""
+    if type(value) is not bytes:
+        raise ValueError(f"{name} must be bytes, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{name} must be {length} bytes, got {len(value)}")

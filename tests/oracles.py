@@ -12,6 +12,7 @@ recorded one per hop as the packet moves, and rendered as CSV one
 a call raises.
 """
 
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -120,20 +121,21 @@ def distinct_ids_one_at_a_time(rng, count: int) -> list:
     return drawn
 
 
-def trace_rows_hop_by_hop(ids, succ, start, max_hops, receive):
+def trace_rows_hop_by_hop(ids, succ, start, receive):
     """Forward one packet as ``simulate`` does, appending one
     (hop, node, tortoise_after, snapshot_taken) row per hop as it goes.
 
     ``receive`` is the state machine under test (``receive_packet``),
-    passed in so that nothing here imports the package; it may raise an
-    OverflowError when the hop counter saturates. Returns the rows, the
-    outcome's value and its hop.
+    passed in so that nothing here imports the package; the walk ends at a
+    terminal, at a detection, or when ``receive`` raises an OverflowError
+    because the hop counter saturated. Returns the rows, the outcome's
+    value and its hop.
     """
     tortoise = ids[start]
     header = (tortoise, 0)
     rows = []
     pos = start
-    for hop in range(1, max_hops + 1):
+    for hop in itertools.count(1):
         nxt = succ[pos]
         if nxt is None:
             return rows, "terminated", hop
@@ -148,7 +150,6 @@ def trace_rows_hop_by_hop(ids, succ, start, max_hops, receive):
         rows.append((hop, node, header[0], header[0] != tortoise))
         tortoise = header[0]
         pos = nxt
-    return rows, "budget_exhausted", None
 
 
 def trace_csv_row_by_row(rows, label):

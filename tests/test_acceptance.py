@@ -61,7 +61,7 @@ def test_criterion_2_oracle_equivalence_exhaustive():
             agree = (
                 brent_detect(start, next_fn, budget) is expected
                 and floyd_detect(start, next_fn, budget) is expected
-                and (simulate(graph, start, 28).outcome is Outcome.DETECTED) is expected
+                and (simulate(graph, start).outcome is Outcome.DETECTED) is expected
             )
             if not agree:
                 disagreements += 1

@@ -1,10 +1,12 @@
 """Every integer argument is exactly an int in its range, checked once, at
 the function that takes it, by the one rule ``reference._check_int``: sizes,
 budgets and widths, node ids (graph ids and successor indices, the origin,
-the receiver), the nonce, and the wire fields ``encode`` packs. Anything
-else, a float or a bool included, raises ValueError with that rule's
-message, never a TypeError from deeper down and never a result. This table
-is the one place that pins those messages."""
+the receiver), the nonce, and the wire fields ``encode`` packs and
+``receive_packet`` is handed. Anything else, a float or a bool included,
+raises ValueError with that rule's message, never a TypeError from deeper
+down and never a result. The byte strings ``vid`` hashes are exactly bytes
+of their length, by ``vid._check_bytes``. This table is the one place
+that pins those messages."""
 
 import math
 
@@ -26,7 +28,7 @@ from loopdetect import (
     predict_detection_hop,
     random_functional_graph,
     receive_packet,
-    simulate,
+    virtual_id,
 )
 from oracles import rejection
 
@@ -47,9 +49,6 @@ CASES = {
     ),
     "random_graph-prob-nan": (
         random_functional_graph, (3, math.nan), "terminal_prob must be within [0, 1], got nan"
-    ),
-    "simulate-max_hops-float": (
-        simulate, (build_chain(3), 0, 2.5), "max_hops must be an int, got 2.5"
     ),
     "exact-path_length-float": (
         collision_probability_exact,
@@ -96,6 +95,30 @@ CASES = {
         (initialize_packet(5), 2**64),
         f"node id must be within {ID_RANGE}, got {2**64}",
     ),
+    # the header handed in is checked too, tortoise first, as encode names them;
+    # a float hops used to leak TypeError, and -3 to be forwarded as -2
+    "receive_packet-tortoise-float": (
+        receive_packet, (LoopHeader(0.5, 1), 5), "tortoise must be an int, got 0.5"
+    ),
+    "receive_packet-tortoise-2**64": (
+        receive_packet, (LoopHeader(2**64, 1), 5), f"tortoise must be within {ID_RANGE}, got {2**64}"
+    ),
+    "receive_packet-hops-float": (
+        receive_packet, (LoopHeader(0, 1.0), 5), "hops must be an int, got 1.0"
+    ),
+    "receive_packet-hops-negative": (
+        receive_packet, (LoopHeader(0, -3), 5), "hops must be within [0, 65535], got -3"
+    ),
+    # no 16-bit header holds it; hops == 65535 is a HopOverflow instead
+    "receive_packet-hops-2**16": (
+        receive_packet, (LoopHeader(0, 2**16), 5), "hops must be within [0, 65535], got 65536"
+    ),
+    "receive_packet-tortoise-before-hops": (
+        receive_packet, (LoopHeader(True, -1), 2**64), "tortoise must be an int, got True"
+    ),
+    "receive_packet-hops-before-receiver": (
+        receive_packet, (LoopHeader(0, -1), 2**64), "hops must be within [0, 65535], got -1"
+    ),
     # True used to hash as nonce 1, and 1.0 to leak AttributeError
     "packet_digest-bool": (packet_digest, (b"", True), "nonce must be an int, got True"),
     "packet_digest-float": (packet_digest, (b"", 1.0), "nonce must be an int, got 1.0"),
@@ -104,6 +127,26 @@ CASES = {
     ),
     "packet_digest-2**32": (
         packet_digest, (b"", 2**32), f"nonce must be within [0, 4294967295], got {2**32}"
+    ),
+    # exactly bytes, named by type, not a TypeError from + or hashlib
+    "packet_digest-payload-str": (packet_digest, ("ab", 0), "payload must be bytes, got str"),
+    "packet_digest-payload-before-nonce": (
+        packet_digest, (None, 1.0), "payload must be bytes, got NoneType"
+    ),
+    "virtual_id-trueid-str": (
+        virtual_id, ("x" * 32, bytes(32)), "trueid must be bytes, got str"
+    ),
+    "virtual_id-trueid-list": (
+        virtual_id, ([0] * 32, bytes(32)), "trueid must be bytes, got list"
+    ),
+    "virtual_id-digest-str": (
+        virtual_id, (bytes(32), "y" * 32), "digest must be bytes, got str"
+    ),
+    "virtual_id-trueid-short": (
+        virtual_id, (bytes(31), "y" * 32), "trueid must be 32 bytes, got 31"
+    ),
+    "virtual_id-digest-long": (
+        virtual_id, (bytes(32), bytes(33)), "digest must be 32 bytes, got 33"
     ),
     # caught at construction, not later in trace_csv's %x or the wire codec
     "graph-id-bool": (
@@ -162,6 +205,6 @@ CASES = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_count_arguments_must_be_exact_ints(case):
-    """Each integer argument's rejection: exactly ValueError, exactly this message."""
+    """Each argument's rejection: exactly ValueError, exactly this message."""
     function, args, message = CASES[case]
     assert rejection(function, *args) == message

@@ -41,14 +41,6 @@ def test_simulate_chain_terminates(capsys):
     assert out.splitlines()[-1].endswith(",terminated(5)")
 
 
-def test_simulate_budget_exhaustion_exit_code(capsys):
-    code, out, _ = run(
-        capsys, "simulate", "--mu", "0", "--lambda", "3", "--max-hops", "2"
-    )
-    assert code == 2
-    assert out.splitlines()[-1].endswith(",budget_exhausted")
-
-
 def test_simulate_is_deterministic(capsys):
     first = run(capsys, "simulate", "--mu", "2", "--lambda", "5", "--seed", "9")
     second = run(capsys, "simulate", "--mu", "2", "--lambda", "5", "--seed", "9")
@@ -88,7 +80,7 @@ def test_simulate_seed_changes_ids(capsys):
         ["collisions", "--lengths", "0"],
         ["nonsense"],
         [],
-        ["simulate", "--chain", "3", "--max-hops", "0"],
+        ["simulate", "--chain", "3", "--max-hops", "2"],
         ["simulate", "--mu", "0", "--lambda", "0"],
         ["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"],
         ["latency", "--mu", "-1", "--lambda", "1"],
@@ -110,7 +102,7 @@ def test_usage_errors_exit_64(capsys, argv):
         (["simulate", "--chain", "0"], "usage: loopdetect simulate "),
         (["collisions", "--bits", "0"], "usage: loopdetect collisions "),
         (["latency", "--mu", "0", "--lambda", "0"], "usage: loopdetect latency "),
-        (["simulate", "--chain", "3", "--max-hops", "0"], "usage: loopdetect simulate "),
+        (["simulate", "--mu", "-1", "--lambda", "2"], "usage: loopdetect simulate "),
         (["simulate", "--mu", "0", "--lambda", "0"], "usage: loopdetect simulate "),
         (["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"], "usage: loopdetect latency "),
         (["latency", "--mu", "-1", "--lambda", "1"], "usage: loopdetect latency "),
@@ -131,7 +123,7 @@ def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate", "--chain", "3", "--max-hops", "0"], "max_hops must be >= 1, got 0"),
+        (["latency", "--mu", "0", "--lambda", "0"], "cycle length must be >= 1, got 0"),
         (["simulate", "--mu", "0", "--lambda", "0"], "cycle length must be >= 1, got 0"),
         (["simulate", "--mu", "-1", "--lambda", "2"], "tail length must be >= 0, got -1"),
         (["simulate", "--chain", "0"], "chain length must be >= 1, got 0"),
@@ -378,8 +370,12 @@ def test_collision_options_leave_no_state_in_the_shared_parser(capsys):
 
 
 def test_hop_budget_does_not_carry_over_to_the_next_call(capsys):
-    code, _, _ = run(capsys, "simulate", "--chain", "5", "--max-hops", "2")
-    assert code == 2
+    # the packet's own hop counter is the one bound on a walk: a hop budget
+    # is refused as an unknown option and leaves nothing for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--chain", "5", "--max-hops", "2"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.endswith(": error: unrecognized arguments: --max-hops 2\n")
     code, out, _ = run(capsys, "simulate", "--chain", "5")
     assert code == 0
     assert out.splitlines()[-1].endswith(",terminated(5)")
