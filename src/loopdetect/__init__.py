@@ -37,8 +37,6 @@ from .reference import (
     visited_set_oracle,
 )
 from .simulator import (
-    BadArity,
-    BadIndex,
     FunctionalGraph,
     Outcome,
     SimTrace,
@@ -55,8 +53,6 @@ from .vid import MAX_NONCE, packet_digest, virtual_id
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadArity",
-    "BadIndex",
     "CollisionQuery",
     "CollisionRow",
     "CycleStructure",

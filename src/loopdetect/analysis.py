@@ -12,6 +12,7 @@ tortoise: on a loop-free path of h hops it is exactly 1 - (1 - 2**-b)**h.
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from .core import MAX_HOPS
 from .reference import CycleStructure, _check_int, predict_detection_hop
 
 
@@ -157,13 +158,16 @@ def latency_table(
     where the packet expires by hop overflow first (``loopdetect latency``
     exits 2); callers that emit tables externally should cross-check it
     against a live simulation. A pure hop-limit scheme halts a looping
-    packet exactly at ``ttl``, whatever the loop's shape.
+    packet exactly at ``ttl``, whatever the loop's shape; a ``ttl`` the
+    header's 16-bit counter cannot carry is no baseline, so it must be in
+    [1, MAX_HOPS]. A case may be any (mu, lam) pair.
     """
-    _check_int("ttl", ttl, 1)
+    _check_int("ttl", ttl, 1, MAX_HOPS)
     rows = []
     for case in cases:
+        mu, lam = case
         brent_hop = predict_detection_hop(case)
-        rows.append(LatencyRow(case.mu, case.lam, brent_hop, ttl, ttl / brent_hop))
+        rows.append(LatencyRow(mu, lam, brent_hop, ttl, ttl / brent_hop))
     return rows
 
 

@@ -42,8 +42,12 @@ def encode(header: LoopHeader, nonce: int) -> bytes:
 
 def decode(wire: bytes) -> tuple[LoopHeader, int]:
     """Inverse of encode on the first 14 bytes; trailing bytes are payload
-    and are not consumed."""
-    if len(wire) < HEADER_LEN:
-        raise Truncated(f"need {HEADER_LEN} bytes, got {len(wire)}")
-    tortoise, hops, nonce = _unpack_from(wire)
+    and are not consumed. ``wire`` is any bytes-like object; anything else
+    raises ValueError naming its type."""
+    try:
+        tortoise, hops, nonce = _unpack_from(wire)  # struct decides what it reads
+    except TypeError:
+        raise ValueError(f"wire must be bytes-like, got {type(wire).__name__}") from None
+    except struct.error:
+        raise Truncated(f"need {HEADER_LEN} bytes, got {len(wire)}") from None
     return _new(LoopHeader, (tortoise, hops)), nonce

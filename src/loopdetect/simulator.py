@@ -31,14 +31,6 @@ from .reference import _check_int
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 
 
-class BadArity(ValueError):
-    """Explicit id list does not match the requested topology size."""
-
-
-class BadIndex(IndexError):
-    """Node position that is not an int in [0, n), or positions that must differ do not."""
-
-
 @dataclass(frozen=True)
 class FunctionalGraph:
     """Forwarding topology: node ids by index, one successor (or None) each.
@@ -68,14 +60,6 @@ class FunctionalGraph:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def _check_position(self, name: str, value) -> None:
-        """Raise BadIndex naming ``value`` unless it is an int in [0, n);
-        exactly int, so True and 1.0 are rejected, not used as 1."""
-        if type(value) is not int:
-            raise BadIndex(f"{name} {value!r} is not an int")
-        if not 0 <= value < len(self.ids):
-            raise BadIndex(f"{name} {value} outside graph of {len(self.ids)} nodes")
 
 
 class Outcome(Enum):
@@ -136,10 +120,7 @@ def build_rho(
     """
     _check_int("tail length", mu, 0)
     _check_int("cycle length", lam, 1)
-    n = mu + lam
-    node_ids = _resolve_ids(n, ids, seed)
-    succ = tuple(range(1, n)) + (mu,)
-    return FunctionalGraph(node_ids, succ)
+    return _path(mu + lam, mu, ids, seed)
 
 
 def build_chain(
@@ -149,9 +130,7 @@ def build_chain(
 ) -> FunctionalGraph:
     """Loop-free path of ``length`` nodes ending in a terminal."""
     _check_int("chain length", length, 1)
-    node_ids = _resolve_ids(length, ids, seed)
-    succ = tuple(range(1, length)) + (None,)
-    return FunctionalGraph(node_ids, succ)
+    return _path(length, None, ids, seed)
 
 
 def build_within_reach(
@@ -173,7 +152,8 @@ def random_functional_graph(
     """Uniform random successor per node, replaced by a terminal with
     probability ``terminal_prob``. Deterministic for a fixed seed."""
     _check_int("n", n, 1)
-    if not 0.0 <= terminal_prob <= 1.0:
+    # exactly int or float, so True and '0.5' get the range message too
+    if type(terminal_prob) not in (int, float) or not 0.0 <= terminal_prob <= 1.0:
         raise ValueError(f"terminal_prob must be within [0, 1], got {terminal_prob!r}")
     rng = random.Random(seed)
     succ: list[Optional[int]] = []
@@ -192,13 +172,13 @@ def inject_duplicate(
 
     Positional so false-positive geometry is precisely controllable: the
     duplicate fires only if position_a's id is still the tortoise when the
-    packet reaches position_b. A position that is not an int in [0, n)
-    raises BadIndex.
+    packet reaches position_b. Each position must be an int in [0, n),
+    by ``_check_int``; positions that are equal raise ValueError too.
     """
-    for position in (position_a, position_b):
-        graph._check_position("position", position)
+    _check_int("position_a", position_a, 0, len(graph) - 1)
+    _check_int("position_b", position_b, 0, len(graph) - 1)
     if position_a == position_b:
-        raise BadIndex("duplicate positions must differ")
+        raise ValueError("duplicate positions must differ")
     ids = list(graph.ids)
     ids[position_b] = ids[position_a]
     return FunctionalGraph(tuple(ids), graph.succ)
@@ -211,10 +191,13 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     Initializes the header at the start node, then repeatedly moves to the
     successor and applies core's transition kernel, the one state machine
     behind receive_packet. All terminal conditions are encoded in the
-    outcome, never raised. BadIndex if ``start`` is not an int in [0, n).
+    outcome, never raised. ``start`` must be an int in [0, n), by
+    ``_check_int``.
     """
-    graph._check_position("start", start)
     ids = graph.ids
+    # exactly int, as for a successor index; _check_int is called only to raise
+    if type(start) is not int or not 0 <= start < len(ids):
+        _check_int("start", start, 0, len(ids) - 1)
     succ = graph.succ
     # the module global, read per run, so a wrapped kernel is seen; the
     # graph checked every id, so no hop repeats receive_packet's range check
@@ -285,17 +268,25 @@ def _outcome_label(trace: SimTrace) -> str:
     return f"{trace.outcome.value}({trace.at_hop})"
 
 
-def _resolve_ids(
-    n: int, ids: Optional[Sequence[int]], seed: Optional[int]
-) -> tuple[int, ...]:
-    if ids is not None:
-        explicit = tuple(ids)
-        if len(explicit) != n:
-            raise BadArity(f"need {n} ids, got {len(explicit)}")
-        if len(set(explicit)) != n:
-            raise ValueError("explicit ids must be distinct; use inject_duplicate")
-        return explicit
-    return _draw_distinct_ids(random.Random(seed), n)
+def _path(
+    n: int, last: Optional[int], ids: Optional[Sequence[int]], seed: Optional[int]
+) -> FunctionalGraph:
+    """Nodes 0 -> 1 -> ... -> n-1 -> ``last`` (a node, or None for a
+    terminal), with the explicit ``ids`` or distinct ids drawn from ``seed``.
+
+    The ids come first, so the draw's transient dict is gone before the
+    successors are built. The graph checks each explicit id before the set
+    below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
+    if ids is None:
+        node_ids = _draw_distinct_ids(random.Random(seed), n)
+    else:
+        node_ids = tuple(ids)
+        if len(node_ids) != n:
+            raise ValueError(f"need {n} ids, got {len(node_ids)}")
+    graph = FunctionalGraph(node_ids, tuple(range(1, n)) + (last,))
+    if ids is not None and len(set(node_ids)) != n:
+        raise ValueError("explicit ids must be distinct; use inject_duplicate")
+    return graph
 
 
 _ID_BLOCK = 1024  # ids per randbytes call: bounds the transient bytes and tuple

@@ -196,6 +196,12 @@ def test_latency_table_rows():
     assert rows[2].ratio < 1
 
 
+def test_latency_table_accepts_a_plain_pair():
+    # predict_detection_hop takes any (mu, lam) pair, and so does the table
+    assert latency_table([(0, 3)], 255) == latency_table([CycleStructure(0, 3)], 255)
+    assert latency_table([(0, 3)], 255)[0][:4] == (0, 3, 7, 255)
+
+
 def test_latency_table_rejects_ttl_below_one():
     with pytest.raises(ValueError):
         latency_table([CycleStructure(0, 1)], 0)

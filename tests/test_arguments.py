@@ -1,12 +1,15 @@
 """Every integer argument is exactly an int in its range, checked once, at
 the function that takes it, by the one rule ``reference._check_int``: sizes,
-budgets and widths, node ids (graph ids and successor indices, the origin,
-the receiver), the nonce, and the wire fields ``encode`` packs and
-``receive_packet`` is handed. Anything else, a float or a bool included,
-raises ValueError with that rule's message, never a TypeError from deeper
-down and never a result. The byte strings ``vid`` hashes are exactly bytes
-of their length, by ``vid._check_bytes``. This table is the one place
-that pins those messages."""
+budgets and widths, ``latency_table``'s ttl, node ids (graph ids and
+successor indices, the origin, the receiver), node positions (``simulate``'s
+start, ``inject_duplicate``'s two positions), the nonce, and the wire fields
+``encode`` packs and ``receive_packet`` is handed. Anything else, a float or
+a bool included, raises ValueError with that rule's message, never a
+TypeError from deeper down and never a result. The byte strings ``vid``
+hashes are exactly bytes of their length, by ``vid._check_bytes``; what
+``decode`` reads is bytes-like, and a count of explicit ids or a
+``terminal_prob`` that does not fit is a plain ValueError too. This table
+is the one place that pins those messages."""
 
 import math
 
@@ -21,18 +24,22 @@ from loopdetect import (
     build_rho,
     collision_probability_approx,
     collision_probability_exact,
+    decode,
     encode,
     initialize_packet,
+    inject_duplicate,
     latency_table,
     packet_digest,
     predict_detection_hop,
     random_functional_graph,
     receive_packet,
+    simulate,
     virtual_id,
 )
 from oracles import rejection
 
 ID_RANGE = "[0, 18446744073709551615]"
+CHAIN = build_chain(3, ids=[1, 2, 3])
 
 
 # id -> (function, args, the exact ValueError message)
@@ -50,6 +57,13 @@ CASES = {
     "random_graph-prob-nan": (
         random_functional_graph, (3, math.nan), "terminal_prob must be within [0, 1], got nan"
     ),
+    # exactly int or float, tested inside the range check, so one message
+    "random_graph-prob-str": (
+        random_functional_graph, (3, "0.5"), "terminal_prob must be within [0, 1], got '0.5'"
+    ),
+    "random_graph-prob-bool": (
+        random_functional_graph, (3, True), "terminal_prob must be within [0, 1], got True"
+    ),
     "exact-path_length-float": (
         collision_probability_exact,
         (CollisionQuery(2.5, 32),),
@@ -65,6 +79,10 @@ CASES = {
     ),
     "latency_table-ttl-float": (
         latency_table, ([CycleStructure(2, 4)], 2.5), "ttl must be an int, got 2.5"
+    ),
+    # a baseline the header's 16-bit counter cannot carry; 10**400 used to overflow a float
+    "latency_table-ttl-2**16": (
+        latency_table, ([CycleStructure(2, 4)], 2**16), "ttl must be within [1, 65535], got 65536"
     ),
     "predict-lam-float": (
         predict_detection_hop, (CycleStructure(1, 2.0),), "cycle length must be an int, got 2.0"
@@ -162,6 +180,23 @@ CASES = {
         FunctionalGraph, ((1, 2**64), (1, None)), f"node id must be within {ID_RANGE}, got {2**64}"
     ),
     "build_rho-ids-float": (build_rho, (1, 2, [1, 2.0, 3]), "node id must be an int, got 2.0"),
+    "build_rho-ids-count": (build_rho, (2, 3, [1, 2, 3]), "need 5 ids, got 3"),
+    # each id is checked before the distinctness set hashes it
+    "build_rho-ids-unhashable": (
+        build_rho, (1, 2, [1, 2, [3]]), "node id must be an int, got [3]"
+    ),
+    # node positions follow the successor-index rule; they used to raise an IndexError
+    "simulate-start-bool": (simulate, (CHAIN, True), "start must be an int, got True"),
+    "simulate-start-float": (simulate, (CHAIN, 1.0), "start must be an int, got 1.0"),
+    "simulate-start-negative": (simulate, (CHAIN, -1), "start must be within [0, 2], got -1"),
+    "simulate-start-n": (simulate, (CHAIN, 3), "start must be within [0, 2], got 3"),
+    "inject_duplicate-position_a-range": (
+        inject_duplicate, (CHAIN, 3, 0), "position_a must be within [0, 2], got 3"
+    ),
+    "inject_duplicate-position_b-bool": (
+        inject_duplicate, (CHAIN, 0, True), "position_b must be an int, got True"
+    ),
+    "inject_duplicate-equal": (inject_duplicate, (CHAIN, 1, 1), "duplicate positions must differ"),
     # 1.0 used to pass the range test and fail mid-walk; True ran as index 1
     "graph-successor-float": (
         FunctionalGraph, ((5, 6), (1.0, None)), "successor index must be an int, got 1.0"
@@ -200,6 +235,9 @@ CASES = {
     "encode-hops-before-nonce": (
         encode, (LoopHeader(0, 2**16), 1.5), "hops must be within [0, 65535], got 65536"
     ),
+    # any bytes-like wire decodes; anything else is named by type
+    "decode-str": (decode, ("00" * 14,), "wire must be bytes-like, got str"),
+    "decode-int": (decode, (5,), "wire must be bytes-like, got int"),
 }
 
 

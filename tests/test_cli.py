@@ -127,11 +127,16 @@ def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv, usage):
         (["simulate", "--mu", "0", "--lambda", "0"], "cycle length must be >= 1, got 0"),
         (["simulate", "--mu", "-1", "--lambda", "2"], "tail length must be >= 0, got -1"),
         (["simulate", "--chain", "0"], "chain length must be >= 1, got 0"),
-        (["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"], "ttl must be >= 1, got 0"),
+        (["latency", "--mu", "1", "--lambda", "1", "--ttl", "0"],
+         "ttl must be within [1, 65535], got 0"),
         (["latency", "--mu", "-1", "--lambda", "1"], "tail length must be >= 0, got -1"),
         (["collisions", "--bits", "129"], "id_bits must be within [1, 128], got 129"),
         (["collisions", "--bits", "24", "--lengths", "16", "0"], "path_length must be >= 1, got 0"),
         (["header", "encode", "--hops", "70000"], "hops must be within [0, 65535], got 70000"),
+        # no baseline the header's counter can carry; a 401-digit ttl used to
+        # overflow ttl / brent_hop into a traceback
+        (["latency", "--mu", "0", "--lambda", "3", "--ttl", "65536"],
+         "ttl must be within [1, 65535], got 65536"),
     ],
 )
 def test_library_rejection_names_the_value_and_writes_nothing(tmp_path, capsys, argv, message):

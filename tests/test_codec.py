@@ -63,6 +63,14 @@ def test_decode_truncated(length):
         decode(b"\x00" * length)
 
 
+def test_decode_reads_any_bytes_like_wire():
+    expected = decode(PINNED_WIRE)
+    assert decode(bytearray(PINNED_WIRE)) == expected
+    assert decode(memoryview(PINNED_WIRE + b"payload")) == expected
+    with pytest.raises(Truncated, match="need 14 bytes, got 13"):
+        decode(memoryview(PINNED_WIRE)[:13])
+
+
 def test_decode_ignores_trailing_payload():
     header, nonce = decode(PINNED_WIRE + b"payload bytes")
     assert header == LoopHeader(0x0102030405060708, 0x090A)
