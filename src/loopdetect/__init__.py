@@ -18,7 +18,7 @@ from .analysis import (
     latency_csv,
     latency_table,
 )
-from .codec import HEADER_LEN, Truncated, decode, encode
+from .codec import HEADER_LEN, Truncated, decode, encode, forward
 from .core import (
     MAX_HOPS,
     MAX_NODE_ID,
@@ -82,6 +82,7 @@ __all__ = [
     "decode",
     "encode",
     "floyd_detect",
+    "forward",
     "initialize_packet",
     "inject_duplicate",
     "latency_csv",

@@ -13,7 +13,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MAX_HOPS
-from .reference import CycleStructure, _check_int, predict_detection_hop
+from .reference import CycleStructure, _check_int, _items, predict_detection_hop
 
 
 class CollisionQuery(NamedTuple):
@@ -126,11 +126,15 @@ def collision_table(
 
     Rows come out b-major in the order given, path lengths ascending.
     """
-    if not bit_widths or not path_lengths:
+    widths, lengths = _items("bit_widths", bit_widths), _items("path_lengths", path_lengths)
+    if not widths or not lengths:
         raise ValueError("grids must be non-empty")
-    lengths = sorted(path_lengths)
+    try:
+        lengths = sorted(lengths)
+    except TypeError:
+        pass  # only a length that is no int is unorderable, and its row names it
     rows = []
-    for bits in bit_widths:
+    for bits in widths:
         for length in lengths:
             query = CollisionQuery(length, bits)
             rows.append(
@@ -164,9 +168,9 @@ def latency_table(
     """
     _check_int("ttl", ttl, 1, MAX_HOPS)
     rows = []
-    for case in cases:
+    for case in _items("cases", cases):
+        brent_hop = predict_detection_hop(case)  # first, as it names a case that is no pair
         mu, lam = case
-        brent_hop = predict_detection_hop(case)
         rows.append(LatencyRow(mu, lam, brent_hop, ttl, ttl / brent_hop))
     return rows
 

@@ -95,9 +95,9 @@ def _build_parser() -> _Parser:
     hdr_sub = p_hdr.add_subparsers(dest="mode", required=True)
 
     p_enc = hdr_sub.add_parser("encode", parents=[out])
-    p_enc.add_argument("--tortoise", type=_int_any_base, default=0)
-    p_enc.add_argument("--hops", type=_int_any_base, default=0)
-    p_enc.add_argument("--nonce", type=_int_any_base, default=0)
+    p_enc.add_argument("--tortoise", type=integer, default=0)
+    p_enc.add_argument("--hops", type=integer, default=0)
+    p_enc.add_argument("--nonce", type=integer, default=0)
     p_enc.set_defaults(handler=_cmd_header_encode, parser=p_enc)
 
     p_dec = hdr_sub.add_parser("decode", parents=[out])
@@ -162,7 +162,7 @@ def _cmd_header_decode(args) -> int:
     return EX_OK
 
 
-def _int_any_base(text: str) -> int:
+def integer(text: str) -> int:
     return int(text, 0)
 
 

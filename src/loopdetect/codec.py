@@ -4,17 +4,15 @@
     bytes [8, 10)   hops       unsigned 16-bit big-endian
     bytes [10, 14)  nonce      unsigned 32-bit big-endian
 
-No padding, no optional fields, no version byte. Only tortoise and hops
-are loop-prevention state; the nonce rides along so every hop can derive
-the packet digest for virtual node ids, and it is an input to that
-digest, never excluded from it.
+No padding, no optional fields, no version byte. ``forward`` is one hop
+on these bytes.
 """
 
 import struct
 
-from .core import MAX_HOPS, MAX_NODE_ID, LoopHeader
+from .core import MAX_HOPS, MAX_NODE_ID, LoopHeader, _transition
 from .reference import _check_int
-from .vid import MAX_NONCE
+from .vid import MAX_NONCE, packet_digest, virtual_id
 
 HEADER_LEN = 14
 _LAYOUT = struct.Struct(">QHI")
@@ -51,3 +49,13 @@ def decode(wire: bytes) -> tuple[LoopHeader, int]:
     except struct.error:
         raise Truncated(f"need {HEADER_LEN} bytes, got {len(wire)}") from None
     return _new(LoopHeader, (tortoise, hops)), nonce
+
+
+def forward(wire: bytes, trueid: bytes) -> bytes | None:
+    """One hop at the node whose true id is ``trueid``: the wire it forwards,
+    or None on a detected loop. The nonce and the body behind the header pass
+    on unchanged. Raises as decode, virtual_id and the kernel do."""
+    (tortoise, hops), nonce = decode(wire)
+    body = bytes(wire)[HEADER_LEN:]  # by byte, whatever the buffer's item size
+    fields = _transition(tortoise, hops, virtual_id(trueid, packet_digest(body, nonce)))
+    return None if fields is None else encode(fields, nonce) + body

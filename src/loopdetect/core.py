@@ -7,10 +7,10 @@ tortoise, and otherwise overwrites the tortoise with its own id whenever
 the new hop count is a power of two. The packet is the only state; nodes
 cache nothing.
 
-The transition itself lives in one private kernel on plain fields, which
-trusts its receiver id; ``receive_packet`` is its checked wrapper, and the
-simulator, whose graph validated every id at construction, calls the
-kernel directly.
+The transition lives in one private kernel on trusted plain fields, and
+``receive_packet`` is its checked wrapper. The simulator, whose graph
+validated every id when built, and ``codec.forward``, whose fields
+``decode`` and ``virtual_id`` bound, call the kernel directly.
 """
 
 from typing import NamedTuple

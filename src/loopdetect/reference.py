@@ -11,10 +11,10 @@ A successor function maps an element to its next element, or to None for
 a terminal (an element with no successor). It must be deterministic and
 effectively immutable for the duration of a call.
 
-The package's one integer check, ``_check_int``, lives here because this
-module imports nothing from the package: the oracles can use it without
-depending on the code they verify, and every other module imports it from
-here.
+The package's one integer check, ``_check_int``, and one container check,
+``_items``, live here because this module imports nothing from the package:
+the oracles can use them without depending on the code they verify, and
+every other module imports them from here.
 """
 
 from typing import Any, Callable, NamedTuple, Optional
@@ -32,6 +32,14 @@ def _check_int(name: str, value, least: int, most: int | None = None) -> None:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     elif not least <= value <= most:
         raise ValueError(f"{name} must be within [{least}, {most}], got {value}")
+
+
+def _items(name: str, value) -> tuple:
+    """``value``'s items as a tuple: ValueError naming ``value`` unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -139,7 +147,10 @@ def predict_detection_hop(structure: CycleStructure) -> int:
     exhaustive (mu, lam) grid; the test suite, not the formula, is
     authoritative.
     """
-    mu, lam = structure
+    try:
+        mu, lam = structure
+    except (TypeError, ValueError):  # a try costs nothing on the valid path
+        raise ValueError(f"structure must be a (mu, lam) pair, got {structure!r}") from None
     _check_int("tail length", mu, 0)
     _check_int("cycle length", lam, 1)
     if mu == 0 and lam == 1:

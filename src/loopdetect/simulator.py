@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition, initialize_packet
 from .core import receive_packet  # not called here; bench/tracing.py wraps this name
-from .reference import _check_int
+from .reference import _check_int, _items
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 
@@ -280,7 +280,7 @@ def _path(
     if ids is None:
         node_ids = _draw_distinct_ids(random.Random(seed), n)
     else:
-        node_ids = tuple(ids)
+        node_ids = _items("ids", ids)
         if len(node_ids) != n:
             raise ValueError(f"need {n} ids, got {len(node_ids)}")
     graph = FunctionalGraph(node_ids, tuple(range(1, n)) + (last,))

@@ -5,11 +5,6 @@ example the SHA-256 digest of the node's public key) and a per-packet
 digest that covers a fresh retransmission nonce. A retransmission then
 re-randomizes every id on the path, so a pathological duplicate cannot
 recur, and the tortoise identity on the wire is scrambled.
-
-The packet digest must exclude the loop header (tortoise and hop count):
-those fields change hop by hop, and every node has to derive the same
-digest. The nonce travels in the header region (see the codec layout)
-precisely so that downstream nodes can recompute their own virtual id.
 """
 
 import hashlib

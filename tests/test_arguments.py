@@ -7,9 +7,11 @@ start, ``inject_duplicate``'s two positions), the nonce, and the wire fields
 a bool included, raises ValueError with that rule's message, never a
 TypeError from deeper down and never a result. The byte strings ``vid``
 hashes are exactly bytes of their length, by ``vid._check_bytes``; what
-``decode`` reads is bytes-like, and a count of explicit ids or a
-``terminal_prob`` that does not fit is a plain ValueError too. This table
-is the one place that pins those messages."""
+``decode`` and ``forward`` read is bytes-like, and a count of explicit ids or a
+``terminal_prob`` that does not fit is a plain ValueError too. A container
+argument (explicit ids, ``collision_table``'s grids, ``latency_table``'s
+cases) is iterable, by ``reference._items``, and a cycle structure is a
+(mu, lam) pair. This table is the one place that pins those messages."""
 
 import math
 
@@ -24,8 +26,10 @@ from loopdetect import (
     build_rho,
     collision_probability_approx,
     collision_probability_exact,
+    collision_table,
     decode,
     encode,
+    forward,
     initialize_packet,
     inject_duplicate,
     latency_table,
@@ -238,6 +242,31 @@ CASES = {
     # any bytes-like wire decodes; anything else is named by type
     "decode-str": (decode, ("00" * 14,), "wire must be bytes-like, got str"),
     "decode-int": (decode, (5,), "wire must be bytes-like, got int"),
+    # forward decodes first, then derives the receiver's virtual id
+    "forward-wire-str": (forward, ("00" * 15, bytes(32)), "wire must be bytes-like, got str"),
+    "forward-trueid-short": (
+        forward, (bytes(30), bytes(31)), "trueid must be 32 bytes, got 31"
+    ),
+    # a container that is no container, or a case that is no (mu, lam) pair,
+    # used to leak TypeError or an unpacking ValueError
+    "predict-not-a-pair": (
+        predict_detection_hop, (5,), "structure must be a (mu, lam) pair, got 5"
+    ),
+    "collision_table-bit_widths-int": (
+        collision_table, (32, [16]), "bit_widths must be a sequence, got 32"
+    ),
+    "collision_table-path_lengths-int": (
+        collision_table, ([32], 16), "path_lengths must be a sequence, got 16"
+    ),
+    # unorderable with the other lengths; its own row names it
+    "collision_table-path_lengths-none": (
+        collision_table, ([32], [16, None]), "path_length must be an int, got None"
+    ),
+    "build_rho-ids-int": (build_rho, (1, 2, 5), "ids must be a sequence, got 5"),
+    "latency_table-case-triple": (
+        latency_table, ([(0, 3, 1)], 255), "structure must be a (mu, lam) pair, got (0, 3, 1)"
+    ),
+    "latency_table-cases-int": (latency_table, (5, 255), "cases must be a sequence, got 5"),
 }
 
 

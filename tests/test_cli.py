@@ -317,6 +317,17 @@ def test_header_encode_out_of_range_exits_64(capsys):
     assert exc.value.code == 64
 
 
+def test_header_encode_names_a_bad_integer_by_its_kind(capsys):
+    # argparse words the error with the converter's name, which is public
+    with pytest.raises(SystemExit) as exc:
+        main(["header", "encode", "--tortoise", "1e5"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "loopdetect header encode: error: argument --tortoise: invalid integer value: '1e5'"
+    )
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code, out, _ = run(

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given
@@ -17,6 +18,7 @@ from loopdetect import (
     build_rho,
     decode,
     encode,
+    forward,
     initialize_packet,
     packet_digest,
     receive_packet,
@@ -141,28 +143,24 @@ def test_encode_rejects_non_integer_field(field, tortoise, hops, nonce):
 
 
 def walk_the_wire(succ, trueids, payload, nonce):
-    """(outcome, hop) of one packet that crosses every hop as wire bytes:
-    each receiver decodes the header, derives its virtual id from the
-    packet digest, runs the receive step and re-encodes. Asserts that the
-    payload and nonce reach every hop unchanged."""
+    """(outcome, hop) of one packet that crosses every hop as wire bytes,
+    each hop one ``forward``. Asserts that the nonce and the payload reach
+    every hop unchanged."""
     origin = virtual_id(trueids[0], packet_digest(payload, nonce))
     wire = encode(initialize_packet(origin), nonce) + payload
+    nonce_and_payload = nonce.to_bytes(4, "big") + payload  # the header ends with the nonce
     pos = 0
     for hop in range(1, MAX_HOPS + 2):
+        assert wire[HEADER_LEN - 4 :] == nonce_and_payload, hop
         nxt = succ[pos]
         if nxt is None:
             return "terminated", hop
-        header, seen_nonce = decode(wire)
-        body = wire[HEADER_LEN:]
-        assert (body, seen_nonce) == (payload, nonce)
-        receiver = virtual_id(trueids[nxt], packet_digest(body, seen_nonce))
         try:
-            detected, updated = receive_packet(header, receiver)
+            wire = forward(wire, trueids[nxt])
         except HopOverflow:
             return "hop_overflow", None
-        if detected:
+        if wire is None:
             return "detected", hop
-        wire = encode(updated, seen_nonce) + body
         pos = nxt
     raise AssertionError("the hop counter did not bound the walk")
 
@@ -184,3 +182,48 @@ def test_a_packet_walked_through_wire_bytes_matches_simulate(graph):
     trace = simulate(FunctionalGraph(vids, graph.succ), 0)
     expected = (trace.outcome.value, trace.at_hop)
     assert walk_the_wire(graph.succ, trueids, payload, nonce) == expected
+
+
+FORWARD_TRUEID = bytes(range(TRUE_ID_LEN))
+FORWARD_BODY, FORWARD_NONCE = b"sixteen byte pay", 0xC0FFEE
+FORWARD_VID = virtual_id(FORWARD_TRUEID, packet_digest(FORWARD_BODY, FORWARD_NONCE))
+
+
+def test_forward_is_the_composed_hop_at_every_counter_value():
+    # a tortoise equal to the receiver's virtual id and one not, at every
+    # hops; each bytes-like form of the wire forwards to the same bytes
+    for hops in range(MAX_HOPS + 1):
+        for tortoise in (FORWARD_VID, FORWARD_VID ^ 1):
+            header = LoopHeader(tortoise, hops)
+            wire = encode(header, FORWARD_NONCE) + FORWARD_BODY
+            if hops == MAX_HOPS:
+                for form in (bytes, bytearray, memoryview):
+                    with pytest.raises(HopOverflow, match=f"^hop counter saturated at {hops}$"):
+                        forward(form(wire), FORWARD_TRUEID)
+                continue
+            detected, updated = receive_packet(header, FORWARD_VID)
+            expected = None if detected else encode(updated, FORWARD_NONCE) + FORWARD_BODY
+            assert detected is (tortoise == FORWARD_VID), hops
+            for form in (bytes, bytearray, memoryview):
+                forwarded = forward(form(wire), FORWARD_TRUEID)
+                assert forwarded == expected, (hops, form)
+                assert forwarded is None or type(forwarded) is bytes
+
+
+def test_forward_reads_the_body_by_byte_from_any_buffer():
+    # an array of 16-bit items is 15 items long but 30 bytes; decode reads
+    # its first 14 bytes, and the body is the 16 bytes behind them
+    wire = encode(LoopHeader(FORWARD_VID ^ 1, 3), FORWARD_NONCE) + FORWARD_BODY
+    items = array("H")
+    items.frombytes(wire)
+    assert forward(items, FORWARD_TRUEID) == forward(wire, FORWARD_TRUEID)
+
+
+@pytest.mark.parametrize("wire", [b"", bytes(13), "00" * 14])
+def test_forward_rejects_a_wire_as_decode_does(wire):
+    with pytest.raises(ValueError) as expected:
+        decode(wire)
+    with pytest.raises(ValueError) as caught:
+        forward(wire, FORWARD_TRUEID)
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
