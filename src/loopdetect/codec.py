@@ -48,6 +48,8 @@ def decode(wire: bytes) -> tuple[LoopHeader, int]:
         raise ValueError(f"wire must be bytes-like, got {type(wire).__name__}") from None
     except struct.error:
         raise Truncated(f"need {HEADER_LEN} bytes, got {len(wire)}") from None
+    except BufferError:  # a strided view: bytes() reads it in order
+        return decode(bytes(wire))
     return _new(LoopHeader, (tortoise, hops)), nonce
 
 

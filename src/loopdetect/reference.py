@@ -127,7 +127,7 @@ def visited_set_oracle(
             return None
         if elem in first_seen:
             entry = first_seen[elem]
-            return CycleStructure(mu=entry, lam=step - entry)
+            return tuple.__new__(CycleStructure, (entry, step - entry))  # no keyword parsing
         first_seen[elem] = step
     raise StepBudgetExceeded(f"no verdict within {max_steps} steps")
 

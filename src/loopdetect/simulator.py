@@ -106,6 +106,15 @@ class SimTrace:
         return tuple(map(_new, repeat(TraceStep), rows))
 
 
+def _trace(nodes, tortoises, outcome: Outcome, at_hop: Optional[int]) -> SimTrace:
+    """SimTrace(nodes, ...) by dict writes, not the frozen __init__'s setattr calls."""
+    trace = object.__new__(SimTrace)
+    fields = trace.__dict__
+    fields["nodes"], fields["tortoises"] = nodes, tortoises
+    fields["outcome"], fields["at_hop"] = outcome, at_hop
+    return trace
+
+
 def build_rho(
     mu: int,
     lam: int,
@@ -212,18 +221,18 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
         while True:
             pos = succ[pos]
             if pos is None:
-                return SimTrace(tuple(nodes), tuple(tortoises), Outcome.TERMINATED, hops + 1)
+                return _trace(tuple(nodes), tuple(tortoises), Outcome.TERMINATED, hops + 1)
             node_id = ids[pos]
             fields = step(tortoise, hops, node_id)
             add_node(node_id)
             if fields is None:
                 # the tortoise stands, so the row shows no snapshot
                 add_tortoise(tortoise)
-                return SimTrace(tuple(nodes), tuple(tortoises), Outcome.DETECTED, hops + 1)
+                return _trace(tuple(nodes), tuple(tortoises), Outcome.DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
     except HopOverflow:
-        return SimTrace(tuple(nodes), tuple(tortoises), Outcome.HOP_OVERFLOW, None)
+        return _trace(tuple(nodes), tuple(tortoises), Outcome.HOP_OVERFLOW, None)
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
@@ -289,23 +298,21 @@ def _path(
     return graph
 
 
-_ID_BLOCK = 1024  # ids per randbytes call: bounds the transient bytes and tuple
-
-
 def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:
     """``count`` distinct 64-bit ids in the order of successive
     ``getrandbits(64)`` calls, a repeated value skipped.
 
     ``randbytes(8 * k)`` is ``getrandbits(64 * k)`` in little-endian order,
     filled from its lowest 32-bit word up, so it yields exactly the values
-    of k successive ``getrandbits(64)`` calls. The dict keeps the first
-    draw of each value, and each refill asks only for the ids still
-    missing, so the generator uses up the same words as the one-at-a-time
-    loop and ends in the same state. The blocks never reorder that stream,
-    so a longer draw from one seed starts with every id of a shorter one.
+    of k successive ``getrandbits(64)`` calls. One draw asks for all
+    ``count`` ids. Only if a set finds a repeat does a dict keep each value's
+    first draw and a refill ask for the ids still missing, so the generator
+    uses up the one-at-a-time loop's words and ends in its state, and a longer
+    draw from one seed starts with a shorter one, as build_within_reach needs.
     """
-    drawn: dict[int, None] = {}
-    while len(drawn) < count:
-        k = min(count - len(drawn), _ID_BLOCK)
-        drawn.update(dict.fromkeys(struct.unpack(f"<{k}Q", rng.randbytes(8 * k))))
-    return tuple(drawn)
+    ids: tuple[int, ...] = ()
+    while len(set(ids)) < count:
+        ids = tuple(dict.fromkeys(ids))  # each value's first draw, in order
+        k = count - len(ids)
+        ids += struct.unpack(f"<{k}Q", rng.randbytes(8 * k))
+    return ids

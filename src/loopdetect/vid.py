@@ -7,13 +7,16 @@ re-randomizes every id on the path, so a pathological duplicate cannot
 recur, and the tortoise identity on the wire is scrambled.
 """
 
-import hashlib
+from hashlib import sha256 as _sha256
+from struct import Struct
 
 from .reference import _check_int
 
 TRUE_ID_LEN = 32
 DIGEST_LEN = 32
 MAX_NONCE = 2**32 - 1
+_pack_nonce = Struct(">I").pack
+_read_id = Struct(">Q").unpack_from
 
 
 def packet_digest(payload: bytes, nonce: int) -> bytes:
@@ -27,7 +30,7 @@ def packet_digest(payload: bytes, nonce: int) -> bytes:
     if type(payload) is not bytes or type(nonce) is not int or not 0 <= nonce <= MAX_NONCE:
         _check_bytes("payload", payload)
         _check_int("nonce", nonce, 0, MAX_NONCE)
-    return hashlib.sha256(nonce.to_bytes(4, "big") + payload).digest()
+    return _sha256(_pack_nonce(nonce) + payload).digest()
 
 
 def virtual_id(trueid: bytes, digest: bytes) -> int:
@@ -37,7 +40,7 @@ def virtual_id(trueid: bytes, digest: bytes) -> int:
         _check_bytes("trueid", trueid, TRUE_ID_LEN)
     if type(digest) is not bytes or len(digest) != DIGEST_LEN:
         _check_bytes("digest", digest, DIGEST_LEN)
-    return int.from_bytes(hashlib.sha256(trueid + digest).digest()[:8], "big")
+    return _read_id(_sha256(trueid + digest).digest())[0]
 
 
 def _check_bytes(name: str, value, length: int | None = None) -> None:

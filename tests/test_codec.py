@@ -71,6 +71,17 @@ def test_decode_reads_any_bytes_like_wire():
     assert decode(memoryview(PINNED_WIRE + b"payload")) == expected
     with pytest.raises(Truncated, match="need 14 bytes, got 13"):
         decode(memoryview(PINNED_WIRE)[:13])
+    # a strided view is bytes-like too: it reads as bytes(view) does
+    wire = encode(LoopHeader(7, 3), 9) + b"payload"
+    spread = bytearray(2 * len(wire))
+    spread[::2] = wire
+    strided = memoryview(spread)[::2]
+    assert bytes(strided) == wire
+    assert decode(strided) == decode(wire)
+    trueid = bytes(range(TRUE_ID_LEN))
+    assert forward(strided, trueid) == forward(wire, trueid) is not None
+    with pytest.raises(Truncated, match="need 14 bytes, got 13"):
+        decode(memoryview(bytes(26))[::2])
 
 
 def test_decode_ignores_trailing_payload():

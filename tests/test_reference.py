@@ -54,6 +54,7 @@ def test_visited_set_oracle_structures():
     assert visited_set_oracle(0, next_of((None,)), 100) is None
     assert visited_set_oracle(0, next_of((0,)), 100) == CycleStructure(0, 1)
     assert visited_set_oracle(0, next_of(FOUR_CYCLE), 100) == CycleStructure(0, 4)
+    assert type(visited_set_oracle(0, next_of(RHO_1_2), 100)) is CycleStructure
 
 
 @pytest.mark.parametrize("walker", [brent_detect, floyd_detect, visited_set_oracle])
@@ -180,6 +181,18 @@ def test_budget_of_three_steps_per_node_suffices_on_rho_walks():
 )
 def test_predict_detection_hop_examples(mu, lam, expected):
     assert predict_detection_hop(CycleStructure(mu, lam)) == expected
+
+
+def test_detection_hop_is_within_three_times_the_loop_size():
+    # the README's bound: hop < 3 (mu + lam), and < 2 (mu + lam) when mu >= lam
+    for mu in range(300):
+        for lam in range(1, 300):
+            hop = predict_detection_hop(CycleStructure(mu, lam))
+            assert hop < (2 if mu >= lam else 3) * (mu + lam), (mu, lam, hop)
+    # and 3 is tight: mu = 0, lam = 2^k + 1 fires at 3 * 2^k + 1
+    for k in range(16):
+        lam = 2**k + 1
+        assert predict_detection_hop(CycleStructure(0, lam)) == 3 * lam - 2
 
 
 def test_predict_rejects_bad_shapes():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from loopdetect import (
     CycleStructure,
     FunctionalGraph,
     Outcome,
+    SimTrace,
     TraceStep,
     build_chain,
     build_rho,
@@ -186,6 +188,40 @@ def test_draw_distinct_ids_skips_repeats_like_the_reference(count):
         reference, count
     )
     assert drawn.used == reference.used > count  # repeats were skipped
+
+
+def test_draw_distinct_ids_refills_a_repeat_inside_the_first_draw():
+    # all words distinct but one: the repeat sits deep inside the first
+    # whole draw, so exactly one word is drawn again
+    words = [(k * 0x9E3779B97F4A7C15) % 2**64 for k in range(5000)]
+    words[1500] = words[1100]
+    drawn, reference = _RepeatingWords(words), _RepeatingWords(words)
+    assert list(_draw_distinct_ids(drawn, 2048)) == distinct_ids_one_at_a_time(
+        reference, 2048
+    )
+    assert drawn.used == reference.used == 2049
+
+
+@pytest.mark.parametrize(
+    "graph,outcome",
+    [
+        (build_chain(3, seed=1), Outcome.TERMINATED),
+        (build_rho(2, 3, seed=1), Outcome.DETECTED),
+        (build_rho(0, 32768, seed=1), Outcome.HOP_OVERFLOW),
+    ],
+    ids=["chain", "rho", "overflow"],
+)
+def test_simulate_returns_an_ordinary_sim_trace(graph, outcome):
+    trace = simulate(graph, 0)
+    built = SimTrace(trace.nodes, trace.tortoises, trace.outcome, trace.at_hop)
+    assert type(trace) is SimTrace and trace.outcome is outcome
+    assert trace == built and hash(trace) == hash(built) and repr(trace) == repr(built)
+    assert dataclasses.asdict(trace) == dataclasses.asdict(built)
+    assert "steps" not in vars(trace)
+    steps = trace.steps
+    assert trace.steps is steps == built.steps
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.outcome = Outcome.DETECTED
 
 
 def test_simulate_origin_self_loop_detected_at_one():

@@ -56,6 +56,19 @@ def test_virtual_id_all_zero_inputs():
     )
 
 
+def test_virtual_id_matches_reference_on_varied_inputs():
+    rng = random.Random(13)
+    pairs = [(rng.randbytes(32), rng.randbytes(32)) for _ in range(50)]
+    # digest and id both start with a byte >= 0x80, where a signed or
+    # little-endian read would differ
+    high = (bytes(32), b"\xff" * 32)
+    assert sha256_ref(high[0] + high[1])[0] >= 0x80
+    for trueid, digest in pairs + [high]:
+        assert virtual_id(trueid, digest) == int.from_bytes(
+            sha256_ref(trueid + digest)[:8], "big"
+        )
+
+
 def test_virtual_id_deterministic():
     trueid = bytes(range(32))
     digest = packet_digest(b"x", 9)
