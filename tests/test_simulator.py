@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -26,7 +27,7 @@ from loopdetect import (
     visited_set_oracle,
 )
 from loopdetect.reference import _check_int
-from loopdetect.simulator import REACH, _draw_distinct_ids, build_within_reach
+from loopdetect.simulator import REACH, _draw_distinct_ids, _hop_labels, build_within_reach
 from oracles import (
     distinct_ids_one_at_a_time,
     naive_is_power_of_two,
@@ -524,7 +525,9 @@ def test_longest_trace_csv_is_pinned(longest_trace):
 
 
 def test_trace_csv_memory_is_bounded_on_the_longest_trace(longest_trace):
-    # a render without blocks peaked at 14.7 MB, a %-format per row at 9.3 MB
+    # a render without blocks peaked at 14.7 MB, a %-format per row at 9.3 MB;
+    # with the shared hop labels it peaks at 5.6 MB warm, and at 9.8 MB cold,
+    # when all 16 blocks of labels (about 4 MB) are made inside the window
     tracemalloc.start()
     try:
         trace_csv(longest_trace)
@@ -532,3 +535,64 @@ def test_trace_csv_memory_is_bounded_on_the_longest_trace(longest_trace):
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+def test_trace_csv_memory_is_bounded_from_a_cold_cache(longest_trace):
+    tracemalloc.start()
+    try:
+        _hop_labels.cache_clear()
+        trace_csv(longest_trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+
+
+@pytest.fixture(scope="module")
+def csv_cases(longest_trace):
+    """(trace, its CSV as the row-by-row oracle renders it) for 1, 4095,
+    4096, 4097, 8192 and 8193 rows, either side of a block end, and for the
+    longest trace (65 535 rows)."""
+    graphs = [build_chain(rows + 1, seed=rows) for rows in (1, 4095, 4096, 4097, 8192, 8193)]
+    graphs.append(build_chain(70_000, seed=5))
+    cases = []
+    for graph in graphs:
+        rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, 0, receive_packet)
+        label = outcome if at_hop is None else f"{outcome}({at_hop})"
+        cases.append((simulate(graph, 0), trace_csv_row_by_row(rows, label)))
+    assert cases[-1][0] == longest_trace
+    return cases
+
+
+def test_trace_csv_is_the_same_in_every_cache_state(csv_cases):
+    # the hop labels are shared by every trace, so no state of the cache may
+    # carry rows of one trace into another
+    for trace, expected in csv_cases:
+        _hop_labels.cache_clear()
+        assert trace_csv(trace) == expected  # cold
+    for trace, expected in csv_cases:
+        assert trace_csv(trace) == expected  # warm
+    assert _hop_labels.cache_info().currsize == 16 == MAX_HOPS // 4096 + 1
+    _hop_labels.cache_clear()
+    for long, short in zip(reversed(csv_cases), csv_cases):
+        assert trace_csv(long[0]) == long[1]
+        assert trace_csv(short[0]) == short[1]
+
+
+def test_trace_csv_renders_in_parallel_from_a_cold_cache(csv_cases):
+    # independent runs need no synchronization, the shared labels included
+    picked = [csv_cases[i] for i in (6, 5, 3, 0)]  # 65 535, 8193, 4097 and 1 rows
+    barrier = threading.Barrier(len(picked), timeout=60)
+    results = [None] * len(picked)
+
+    def render(slot, trace, expected):
+        barrier.wait()
+        results[slot] = all(trace_csv(trace) == expected for _ in range(3))
+
+    _hop_labels.cache_clear()
+    threads = [threading.Thread(target=render, args=(i, *case)) for i, case in enumerate(picked)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [True] * len(picked)
