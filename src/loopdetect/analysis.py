@@ -12,7 +12,7 @@ tortoise: on a loop-free path of h hops it is exactly 1 - (1 - 2**-b)**h.
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MAX_HOPS
+from .core import MAX_HOPS, HopOverflow
 from .reference import CycleStructure, _check_int, _items, predict_detection_hop
 
 
@@ -157,20 +157,26 @@ def latency_table(
 ) -> list[LatencyRow]:
     """Detection hop of the in-band scheme vs a hop-limit baseline.
 
-    ``brent_hop`` comes from the closed-form predictor for an unbounded
-    counter, so it can exceed MAX_HOPS (105536 for mu = 0, lam = 40000),
-    where the packet expires by hop overflow first (``loopdetect latency``
-    exits 2); callers that emit tables externally should cross-check it
-    against a live simulation. A pure hop-limit scheme halts a looping
-    packet exactly at ``ttl``, whatever the loop's shape; a ``ttl`` the
-    header's 16-bit counter cannot carry is no baseline, so it must be in
-    [1, MAX_HOPS]. A case may be any (mu, lam) pair.
+    ``brent_hop`` comes from the closed-form predictor, and every row's hop
+    fits the header's 16-bit counter: a case whose detection hop exceeds
+    MAX_HOPS (105536 for mu = 0, lam = 40000) raises HopOverflow naming
+    the case and its hop, since the packet expires by hop overflow first
+    (``loopdetect latency`` exits 2). Callers that emit tables externally
+    should still cross-check a row against a live simulation. A pure
+    hop-limit scheme halts a looping packet exactly at ``ttl``, whatever
+    the loop's shape; a ``ttl`` the header's 16-bit counter cannot carry is
+    no baseline, so it must be in [1, MAX_HOPS]. A case may be any
+    (mu, lam) pair.
     """
     _check_int("ttl", ttl, 1, MAX_HOPS)
     rows = []
     for case in _items("cases", cases):
         brent_hop = predict_detection_hop(case)  # first, as it names a case that is no pair
         mu, lam = case
+        if brent_hop > MAX_HOPS:
+            raise HopOverflow(
+                f"mu={mu} lambda={lam} is past the hop-counter horizon: detection needs "
+                f"hop {brent_hop} > {MAX_HOPS}, so the packet expires by hop overflow first")
         rows.append(LatencyRow(mu, lam, brent_hop, ttl, ttl / brent_hop))
     return rows
 

@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, codec, simulator
-from .core import MAX_HOPS, LoopHeader
+from .core import HopOverflow, LoopHeader
 from .reference import CycleStructure
 
 EX_OK = 0
@@ -127,15 +127,16 @@ def _cmd_collisions(args) -> int:
 
 def _cmd_latency(args) -> int:
     case = CycleStructure(args.mu, args.lam)
-    rows = analysis.latency_table([case], args.ttl)
-    # never emit a predicted hop that a live run does not reproduce
+    try:
+        rows = analysis.latency_table([case], args.ttl)
+    except HopOverflow as exc:  # the case lies past the horizon; its message names it
+        rows, horizon = None, str(exc)
+    # never emit a predicted hop, nor report a horizon, that a live run does not reproduce
     graph = simulator.build_within_reach(case.mu, case.lam, seed=DEFAULT_SEED)
     trace = simulator.simulate(graph, 0)
-    predicted = rows[0].brent_hop
-    if predicted > MAX_HOPS and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
-        raise _Failure(EX_RUNTIME, f"mu={case.mu} lambda={case.lam} is past the hop-counter "
-                       f"horizon: detection needs hop {predicted} > {MAX_HOPS}, so the "
-                       "packet expires by hop overflow first")
+    if rows is None and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
+        raise _Failure(EX_RUNTIME, horizon)
+    predicted = analysis.predict_detection_hop(case) if rows is None else rows[0].brent_hop
     if trace.outcome is not simulator.Outcome.DETECTED or trace.at_hop != predicted:
         raise _Failure(EX_INVARIANT, f"predictor/simulation mismatch for mu={case.mu} "
                        f"lambda={case.lam}: predicted {predicted}, "

@@ -8,9 +8,12 @@ the new hop count is a power of two. The packet is the only state; nodes
 cache nothing.
 
 The transition lives in one private kernel on trusted plain fields, and
-``receive_packet`` is its checked wrapper. The simulator, whose graph
-validated every id when built, and ``codec.forward``, whose fields
-``decode`` and ``virtual_id`` bound, call the kernel directly.
+``receive_packet`` is its checked wrapper. The simulator and
+``codec.forward`` call the kernel directly. The simulator's ids were
+checked once, when its graph was built (by ``FunctionalGraph`` for a
+graph from outside, by construction for the graphs its builders draw),
+so its walk starts on ``initialize_packet``'s header without that id
+check; ``forward``'s fields are bounded by ``decode`` and ``virtual_id``.
 """
 
 from typing import NamedTuple
@@ -27,6 +30,8 @@ class HopOverflow(OverflowError):
 
     This is a TTL-style expiry, not a detected loop. Wrapping is never an
     option because it would corrupt the power-of-two snapshot schedule.
+    ``analysis.latency_table`` raises it too, for a case whose predicted
+    detection hop lies past the counter.
     """
 
 

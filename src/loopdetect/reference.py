@@ -14,7 +14,8 @@ effectively immutable for the duration of a call.
 The package's one integer check, ``_check_int``, and one container check,
 ``_items``, live here because this module imports nothing from the package:
 the oracles can use them without depending on the code they verify, and
-every other module imports them from here.
+every other module imports them from here. On the valid path a caller
+tests its value exactly inline and calls ``_check_int`` only to raise.
 """
 
 from typing import Any, Callable, NamedTuple, Optional
@@ -72,7 +73,8 @@ def brent_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     off a terminal. Raises StepBudgetExceeded after ``max_steps`` successor
     evaluations without either.
     """
-    _check_int("max_steps", max_steps, 1)
+    if type(max_steps) is not int or max_steps < 1:
+        _check_int("max_steps", max_steps, 1)
     tortoise = hare = start
     power = 2
     for step in range(1, max_steps + 1):
@@ -95,7 +97,8 @@ def floyd_detect(start: Any, next_fn: NextFn, max_steps: int) -> bool:
     hare reaches a terminal. The budget counts successor evaluations, like
     brent_detect.
     """
-    _check_int("max_steps", max_steps, 1)
+    if type(max_steps) is not int or max_steps < 1:
+        _check_int("max_steps", max_steps, 1)
     tortoise = hare = start
     for step in range(1, max_steps + 1):
         if step % 3:
@@ -118,7 +121,8 @@ def visited_set_oracle(
     here it only verifies the others. Returns the exact (mu, lam) on the
     first revisit, or None if the walk reaches a terminal.
     """
-    _check_int("max_steps", max_steps, 1)
+    if type(max_steps) is not int or max_steps < 1:
+        _check_int("max_steps", max_steps, 1)
     first_seen = {start: 0}
     elem = start
     for step in range(1, max_steps + 1):
@@ -151,8 +155,10 @@ def predict_detection_hop(structure: CycleStructure) -> int:
         mu, lam = structure
     except (TypeError, ValueError):  # a try costs nothing on the valid path
         raise ValueError(f"structure must be a (mu, lam) pair, got {structure!r}") from None
-    _check_int("tail length", mu, 0)
-    _check_int("cycle length", lam, 1)
+    # exactly int; _check_int names mu before lam
+    if type(mu) is not int or type(lam) is not int or mu < 0 or lam < 1:
+        _check_int("tail length", mu, 0)
+        _check_int("cycle length", lam, 1)
     if mu == 0 and lam == 1:
         return 1
     p = 1

@@ -27,7 +27,7 @@ from itertools import count, groupby, islice, repeat
 from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
-from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition, initialize_packet
+from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition
 from .core import receive_packet  # not called here; bench/tracing.py wraps this name
 from .reference import _check_int, _items
 
@@ -39,7 +39,8 @@ class FunctionalGraph:
     """Forwarding topology: node ids by index, one successor (or None) each.
 
     Ids repeat only if a duplicate was injected on purpose; the builders
-    below always draw them distinct.
+    below always draw them distinct. This constructor checks every id and
+    successor; the graphs the builders draw skip it (see ``_graph``).
     """
 
     ids: tuple[int, ...]
@@ -69,6 +70,10 @@ class Outcome(Enum):
     DETECTED = "detected"
     TERMINATED = "terminated"
     HOP_OVERFLOW = "hop_overflow"
+
+
+# bound once: simulate reads a global, not an Enum class attribute, per run
+_DETECTED, _TERMINATED, _HOP_OVERFLOW = Outcome.DETECTED, Outcome.TERMINATED, Outcome.HOP_OVERFLOW
 
 
 class TraceStep(NamedTuple):
@@ -107,6 +112,18 @@ class SimTrace:
         snapshots = map(ne, islice(tortoises, 1, None), tortoises)
         rows = zip(count(1), self.nodes, after, snapshots)
         return tuple(map(_new, repeat(TraceStep), rows))
+
+
+def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalGraph:
+    """FunctionalGraph(ids, succ) by dict writes, skipping the constructor's
+    check: only for tuples this module made valid by construction (drawn
+    ids, successors from range or randrange, ids copied from a checked
+    graph). A graph from outside takes the constructor, so every graph is
+    checked exactly once."""
+    graph = object.__new__(FunctionalGraph)
+    fields = graph.__dict__
+    fields["ids"], fields["succ"] = ids, succ
+    return graph
 
 
 def _trace(nodes, tortoises, outcome: Outcome, at_hop: Optional[int]) -> SimTrace:
@@ -174,7 +191,7 @@ def random_functional_graph(
             succ.append(None)
         else:
             succ.append(rng.randrange(n))
-    return FunctionalGraph(_draw_distinct_ids(rng, n), tuple(succ))
+    return _graph(_draw_distinct_ids(rng, n), tuple(succ))
 
 
 def inject_duplicate(
@@ -193,7 +210,7 @@ def inject_duplicate(
         raise ValueError("duplicate positions must differ")
     ids = list(graph.ids)
     ids[position_b] = ids[position_a]
-    return FunctionalGraph(tuple(ids), graph.succ)
+    return _graph(tuple(ids), graph.succ)
 
 
 def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
@@ -212,9 +229,11 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
         _check_int("start", start, 0, len(ids) - 1)
     succ = graph.succ
     # the module global, read per run, so a wrapped kernel is seen; the
-    # graph checked every id, so no hop repeats receive_packet's range check
+    # graph's ids were checked once, when it was built, so the walk starts
+    # on initialize_packet's header, (origin, 0), without its id check, and
+    # no hop repeats receive_packet's range check
     step = _transition
-    tortoise, hops = initialize_packet(ids[start])
+    tortoise, hops = ids[start], 0
     nodes: list[int] = []
     tortoises = [tortoise]
     add_node = nodes.append
@@ -224,18 +243,18 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
         while True:
             pos = succ[pos]
             if pos is None:
-                return _trace(tuple(nodes), tuple(tortoises), Outcome.TERMINATED, hops + 1)
+                return _trace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
             node_id = ids[pos]
             fields = step(tortoise, hops, node_id)
             add_node(node_id)
             if fields is None:
                 # the tortoise stands, so the row shows no snapshot
                 add_tortoise(tortoise)
-                return _trace(tuple(nodes), tuple(tortoises), Outcome.DETECTED, hops + 1)
+                return _trace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
     except HopOverflow:
-        return _trace(tuple(nodes), tuple(tortoises), Outcome.HOP_OVERFLOW, None)
+        return _trace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
@@ -298,16 +317,17 @@ def _path(
     terminal), with the explicit ``ids`` or distinct ids drawn from ``seed``.
 
     The ids come first, so the draw's transient dict is gone before the
-    successors are built. The graph checks each explicit id before the set
+    successors are built. Drawn ids are exact ints in [0, 2**64) and
+    ``last`` is None or below n, so that graph is made unchecked. Explicit
+    ids take the public constructor, which checks each one before the set
     below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
     if ids is None:
-        node_ids = _draw_distinct_ids(random.Random(seed), n)
-    else:
-        node_ids = _items("ids", ids)
-        if len(node_ids) != n:
-            raise ValueError(f"need {n} ids, got {len(node_ids)}")
+        return _graph(_draw_distinct_ids(random.Random(seed), n), tuple(range(1, n)) + (last,))
+    node_ids = _items("ids", ids)
+    if len(node_ids) != n:
+        raise ValueError(f"need {n} ids, got {len(node_ids)}")
     graph = FunctionalGraph(node_ids, tuple(range(1, n)) + (last,))
-    if ids is not None and len(set(node_ids)) != n:
+    if len(set(node_ids)) != n:
         raise ValueError("explicit ids must be distinct; use inject_duplicate")
     return graph
 

@@ -11,6 +11,7 @@ from loopdetect import (
     CollisionQuery,
     CycleStructure,
     FunctionalGraph,
+    HopOverflow,
     Outcome,
     collision_csv,
     collision_probability_approx,
@@ -200,6 +201,18 @@ def test_latency_table_accepts_a_plain_pair():
     # predict_detection_hop takes any (mu, lam) pair, and so does the table
     assert latency_table([(0, 3)], 255) == latency_table([CycleStructure(0, 3)], 255)
     assert latency_table([(0, 3)], 255)[0][:4] == (0, 3, 7, 255)
+
+
+def test_latency_table_stops_at_the_hop_counter_horizon():
+    # 32768 + 32767 = 65535 is the last hop the counter holds
+    assert latency_table([(0, 32767)], 255)[0][:4] == (0, 32767, 65535, 255)
+    message = ("mu=0 lambda=40000 is past the hop-counter horizon: detection needs hop "
+               "105536 > 65535, so the packet expires by hop overflow first")
+    with pytest.raises(HopOverflow) as caught:
+        latency_table([(2, 4), (0, 40000)], 255)
+    assert str(caught.value) == message
+    with pytest.raises(HopOverflow, match="^mu=0 lambda=32768 .* needs hop 65536 > 65535,"):
+        latency_table([(0, 32768)], 255)
 
 
 def test_latency_table_rejects_ttl_below_one():

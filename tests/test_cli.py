@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from loopdetect import analysis, cli, simulator
+from loopdetect import MAX_HOPS, analysis, cli, simulator
 from loopdetect.cli import main
 
 # SHA-256 of collision tables as the term-by-term log1p sum printed them:
@@ -235,6 +235,17 @@ def test_latency_mismatch_exits_3_and_writes_nothing(tmp_path, monkeypatch, caps
     assert not target.exists()
     assert len(err.splitlines()) == 1
     assert err.startswith("loopdetect: predictor/simulation mismatch")
+
+
+def test_latency_past_the_horizon_must_be_confirmed_by_the_live_run(monkeypatch, capsys):
+    # a predictor that puts (2, 4) past the horizon: the live run detects,
+    # so this is a disagreement (exit 3), not a horizon (exit 2)
+    predict = analysis.predict_detection_hop
+    monkeypatch.setattr(analysis, "predict_detection_hop", lambda case: predict(case) + MAX_HOPS)
+    code, out, err = run(capsys, "latency", "--mu", "2", "--lambda", "4")
+    assert (code, out) == (3, "")
+    assert err == ("loopdetect: predictor/simulation mismatch for mu=2 lambda=4: "
+                   "predicted 65543, simulated detected(8)\n")
 
 
 @pytest.mark.parametrize(

@@ -395,6 +395,37 @@ def test_inject_duplicate_bad_positions():
         inject_duplicate(graph, True, 0)
 
 
+def _built_graphs():
+    """Graphs the builders make without the public check, by seed and size."""
+    for seed in (0, 1, 7):
+        yield build_rho(0, 1, seed=seed)
+        yield build_rho(1, 1, seed=seed)
+        yield build_rho(3, 5, seed=seed)
+        yield build_chain(1, seed=seed)
+        yield build_chain(2, seed=seed)
+        for size in (1, 2, REACH - 1, REACH, REACH + 1):
+            yield build_within_reach(None, None, size, seed=seed)
+            yield build_within_reach(size - 1, 1, seed=seed)
+            yield build_within_reach(0, size, seed=seed)
+        for n in (1, 2, 50, 1000):
+            for terminal_prob in (0, 0.5, 1):
+                yield random_functional_graph(n, terminal_prob, seed=seed)
+        yield inject_duplicate(build_rho(3, 5, seed=seed), 1, 6)
+        yield inject_duplicate(random_functional_graph(50, 0.5, seed=seed), 49, 0)
+        yield inject_duplicate(build_chain(10, ids=range(100, 110)), 2, 3)
+
+
+def test_graphs_built_unchecked_pass_the_public_check():
+    # the builders skip FunctionalGraph's check for the graphs they make;
+    # it must accept each one and give an equal graph with an equal hash
+    for graph in _built_graphs():
+        assert type(graph) is FunctionalGraph
+        assert type(graph.ids) is type(graph.succ) is tuple
+        checked = FunctionalGraph(graph.ids, graph.succ)
+        assert checked == graph
+        assert hash(checked) == hash(graph)
+
+
 def test_duplicate_inside_snapshot_window_is_false_positive():
     # hop 2 snapshots position 2's id; position 3 carries the same id and
     # is reached before the hop-4 snapshot, so detection fires at hop 3
