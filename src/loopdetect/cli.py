@@ -131,9 +131,11 @@ def _cmd_latency(args) -> int:
         rows = analysis.latency_table([case], args.ttl)
     except HopOverflow as exc:  # the case lies past the horizon; its message names it
         rows, horizon = None, str(exc)
-    # never emit a predicted hop, nor report a horizon, that a live run does not reproduce
-    graph = simulator.build_within_reach(case.mu, case.lam, seed=DEFAULT_SEED)
-    trace = simulator.simulate(graph, 0)
+    # never emit a predicted hop, nor report a horizon, that a live run does
+    # not reproduce; the run takes node positions as ids, which is exact, as
+    # the kernel only tests ids for equality, so latency draws no ids and
+    # takes no seed
+    trace = simulator.simulate(simulator._rho_by_position(case.mu, case.lam), 0)
     if rows is None and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
         raise _Failure(EX_RUNTIME, horizon)
     predicted = analysis.predict_detection_hop(case) if rows is None else rows[0].brent_hop

@@ -39,8 +39,8 @@ class FunctionalGraph:
     """Forwarding topology: node ids by index, one successor (or None) each.
 
     Ids repeat only if a duplicate was injected on purpose; the builders
-    below always draw them distinct. This constructor checks every id and
-    successor; the graphs the builders draw skip it (see ``_graph``).
+    below always make them distinct. This constructor checks every id and
+    successor; the graphs the builders make skip it (see ``_graph``).
     """
 
     ids: tuple[int, ...]
@@ -117,9 +117,9 @@ class SimTrace:
 def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalGraph:
     """FunctionalGraph(ids, succ) by dict writes, skipping the constructor's
     check: only for tuples this module made valid by construction (drawn
-    ids, successors from range or randrange, ids copied from a checked
-    graph). A graph from outside takes the constructor, so every graph is
-    checked exactly once."""
+    ids or node positions, successors from range or randrange, ids copied
+    from a checked graph). A graph from outside takes the constructor, so
+    every graph is checked exactly once."""
     graph = object.__new__(FunctionalGraph)
     fields = graph.__dict__
     fields["ids"], fields["succ"] = ids, succ
@@ -171,8 +171,26 @@ def build_within_reach(
     ``simulate`` gives the same trace. Plain mins keep the builders' checks."""
     if chain is not None:
         return build_chain(min(chain, REACH), seed=seed)
+    return build_rho(*_cut_to_reach(mu, lam), seed=seed)
+
+
+def _cut_to_reach(mu: int, lam: int) -> tuple[int, int]:
+    """(mu, lam) of a rho cut to its first REACH nodes."""
     mu = min(mu, REACH - 1)
-    return build_rho(mu, min(lam, REACH - mu), seed=seed)
+    return mu, min(lam, REACH - mu)
+
+
+def _rho_by_position(mu: int, lam: int) -> FunctionalGraph:
+    """The rho of ``build_within_reach(mu, lam)`` with each node's position
+    as its id, for a caller that has already checked ``mu`` and ``lam``.
+
+    The kernel tests ids only for equality, so ``simulate`` gives this
+    graph the outcome and ``at_hop`` of any distinct ids on the same
+    shape. Positions are distinct by construction, so nothing is drawn
+    or checked, and the successors are the ids' own int objects."""
+    mu, lam = _cut_to_reach(mu, lam)
+    ids = tuple(range(mu + lam))
+    return _graph(ids, ids[1:] + (mu,))
 
 
 def random_functional_graph(

@@ -1,10 +1,11 @@
 import hashlib
+import random
 import time
 import tracemalloc
 
 import pytest
 
-from loopdetect import MAX_HOPS, analysis, cli, simulator
+from loopdetect import MAX_HOPS, CycleStructure, analysis, cli, simulator
 from loopdetect.cli import main
 
 # SHA-256 of collision tables as the term-by-term log1p sum printed them:
@@ -284,6 +285,72 @@ def test_latency_and_simulate_never_build_trace_rows(monkeypatch, capsys):
     code, out, _ = run(capsys, "simulate", "--mu", "300", "--lambda", "700", "--seed", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_RHO_300_700_SEED_3_SHA256
+
+
+def _no_draw(rng, count):
+    raise AssertionError("node ids were drawn")
+
+
+def test_latency_draws_no_ids(monkeypatch, capsys):
+    # latency's live run takes node positions as ids; simulate keeps its seed
+    monkeypatch.setattr(simulator, "_draw_distinct_ids", _no_draw)
+    code, out, _ = run(capsys, "latency", "--mu", "300", "--lambda", "700")
+    assert code == 0
+    assert out.startswith("mu,lambda,brent_hop,ttl_hop,ratio\n300,700,")
+    code, _, err = run(capsys, "latency", "--mu", "0", "--lambda", "40000")
+    assert code == 2
+    assert "horizon" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "simulate", "--mu", "300", "--lambda", "700", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_RHO_300_700_SEED_3_SHA256
+
+
+# shapes at the hop-counter horizon and at the longest tail it allows
+HORIZON_EDGE_SHAPES = [
+    (0, 32767), (0, 32768), (32768, 32767), (32769, 1), (1, 65535), (65535, 65535),
+]
+
+
+def _latency_shapes():
+    """120 seeded log-uniform (mu, lambda) over the 16-bit square,
+    then the edge shapes."""
+    rng = random.Random(20261019)
+    for _ in range(120):
+        mu = min(int(2 ** rng.uniform(0, 16)), MAX_HOPS) - 1
+        lam = min(int(2 ** rng.uniform(0, 16)), MAX_HOPS)
+        yield mu, lam
+    yield from HORIZON_EDGE_SHAPES
+
+
+def test_latency_never_exits_3_on_valid_input(capsys):
+    # each case prints the predictor's row, or the horizon line when the
+    # predicted hop does not fit the counter; never a mismatch
+    for mu, lam in _latency_shapes():
+        hop = analysis.predict_detection_hop(CycleStructure(mu, lam))
+        code, out, err = run(capsys, "latency", "--mu", str(mu), "--lambda", str(lam))
+        if hop <= MAX_HOPS:
+            row = "%d,%d,%d,255,%.12g\n" % (mu, lam, hop, 255 / hop)
+            assert (code, out, err) == (0, "mu,lambda,brent_hop,ttl_hop,ratio\n" + row, "")
+        else:
+            assert (code, out) == (2, ""), (mu, lam)
+            assert err == (f"loopdetect: mu={mu} lambda={lam} is past the hop-counter horizon: "
+                           f"detection needs hop {hop} > {MAX_HOPS}, so the packet expires "
+                           "by hop overflow first\n")
+
+
+def test_position_ids_give_the_seeded_outcome_and_hop():
+    # the kernel tests ids only for equality, so latency's position-id run
+    # ends as a run on drawn ids does, on the same cut shape
+    grid = [(mu, lam) for mu in range(65) for lam in range(1, 65)]
+    for mu, lam in grid + HORIZON_EDGE_SHAPES:
+        by_position = simulator._rho_by_position(mu, lam)
+        seeded = simulator.build_within_reach(mu, lam, seed=0)
+        assert by_position.ids == tuple(range(len(seeded)))
+        assert by_position.succ == seeded.succ
+        got = simulator.simulate(by_position, 0)
+        want = simulator.simulate(seeded, 0)
+        assert (got.outcome, got.at_hop) == (want.outcome, want.at_hop), (mu, lam)
 
 
 def test_header_encode_zeros(capsys):

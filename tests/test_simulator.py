@@ -27,7 +27,13 @@ from loopdetect import (
     visited_set_oracle,
 )
 from loopdetect.reference import _check_int
-from loopdetect.simulator import REACH, _draw_distinct_ids, _hop_labels, build_within_reach
+from loopdetect.simulator import (
+    REACH,
+    _draw_distinct_ids,
+    _hop_labels,
+    _rho_by_position,
+    build_within_reach,
+)
 from oracles import (
     distinct_ids_one_at_a_time,
     naive_is_power_of_two,
@@ -413,6 +419,9 @@ def _built_graphs():
         yield inject_duplicate(build_rho(3, 5, seed=seed), 1, 6)
         yield inject_duplicate(random_functional_graph(50, 0.5, seed=seed), 49, 0)
         yield inject_duplicate(build_chain(10, ids=range(100, 110)), 2, 3)
+    for size in (1, 2, REACH - 1, REACH, REACH + 1):
+        yield _rho_by_position(size - 1, 1)
+        yield _rho_by_position(0, size)
 
 
 def test_graphs_built_unchecked_pass_the_public_check():
