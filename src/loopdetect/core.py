@@ -7,16 +7,12 @@ tortoise, and otherwise overwrites the tortoise with its own id whenever
 the new hop count is a power of two. The packet is the only state; nodes
 cache nothing.
 
-The transition lives in one private kernel on trusted plain fields, and
-``receive_packet`` is its checked wrapper. The simulator and
-``codec.forward`` call the kernel directly. The simulator's ids were
-checked once, when its graph was built (by ``FunctionalGraph`` for a
-graph from outside, by construction for the graphs its builders draw),
-so its walk starts on ``initialize_packet``'s header without that id
-check; ``forward``'s fields are bounded by ``decode`` and ``virtual_id``.
+The transition lives in one private kernel on trusted plain fields;
+``receive_packet`` is its checked wrapper, and ``_advance`` its form for
+a stretch of hops between two snapshots.
 """
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .reference import _check_int
 
@@ -75,6 +71,20 @@ def _transition(tortoise: int, hops: int, receiver: int) -> tuple[int, int] | No
     if not hops & (hops - 1):  # power of two; exact, as hops >= 1 after the increment
         tortoise = receiver
     return tortoise, hops
+
+
+def _segment_end(hops: int) -> int:
+    """Last hop of the fixed-tortoise segment after ``hops``: the next snapshot, or MAX_HOPS."""
+    return min(1 << hops.bit_length(), MAX_HOPS)
+
+
+def _advance(tortoise: int, hops: int, receivers: Sequence[int]) -> tuple[int, int] | None:
+    """``_transition`` over each of ``receivers`` (one or more, within the
+    segment after ``hops``) in turn: None if one matches the tortoise, else
+    the kernel on the last, the only hop that may snapshot."""
+    if hops < MAX_HOPS and tortoise in receivers:
+        return None
+    return _transition(tortoise, hops + len(receivers) - 1, receivers[-1])
 
 
 def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:

@@ -3,8 +3,9 @@
 Topologies are functional graphs: every node has exactly one successor
 (a per-destination next hop) or a terminal, so a packet's path is a walk
 that either exits the network or enters a cycle. The simulator drives
-core's transition kernel, the state machine behind receive_packet, hop
-by hop on plain (tortoise, hops) fields, and records a full trace as two
+core's one transition kernel on plain (tortoise, hops) fields: by hop for
+16 hops, then per segment up to the next snapshot, its receivers scanned
+for the fixed tortoise in C by ``core._advance``. The trace is two
 columns: per hop, the receiver and the tortoise the header leaves with.
 Rows are built from those columns only when read, and the CSV renders
 them block by block, column by column. Runs are synchronous and
@@ -27,11 +28,12 @@ from itertools import count, groupby, islice, repeat
 from operator import ne
 from typing import NamedTuple, Optional, Sequence
 
-from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _transition
+from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _advance, _segment_end, _transition
 from .core import receive_packet  # not called here; bench/tracing.py wraps this name
 from .reference import _check_int, _items
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
+_BY_HOP = 16  # hops a walk takes one kernel call each, before it goes by segment
 
 
 @dataclass(frozen=True)
@@ -235,22 +237,18 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     """Forward one packet from ``start`` until it loops, exits, or its own
     hop counter overflows, which bounds every walk to MAX_HOPS + 1 hops.
 
-    Initializes the header at the start node, then repeatedly moves to the
-    successor and applies core's transition kernel, the one state machine
-    behind receive_packet. All terminal conditions are encoded in the
-    outcome, never raised. ``start`` must be an int in [0, n), by
-    ``_check_int``.
+    Starts on the origin's header and walks by hop, then by segment (see
+    the module docstring); every end is an outcome, never raised.
+    ``start`` must be an int in [0, n), by ``_check_int``.
     """
     ids = graph.ids
     # exactly int, as for a successor index; _check_int is called only to raise
     if type(start) is not int or not 0 <= start < len(ids):
         _check_int("start", start, 0, len(ids) - 1)
     succ = graph.succ
-    # the module global, read per run, so a wrapped kernel is seen; the
-    # graph's ids were checked once, when it was built, so the walk starts
-    # on initialize_packet's header, (origin, 0), without its id check, and
-    # no hop repeats receive_packet's range check
-    step = _transition
+    # module globals, read per run, so a wrapped kernel is seen; the ids were
+    # checked when the graph was built, so the walk starts on (origin, 0) unchecked
+    step, advance = _transition, _advance
     tortoise, hops = ids[start], 0
     nodes: list[int] = []
     tortoises = [tortoise]
@@ -258,10 +256,10 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     add_tortoise = tortoises.append
     pos = start
     try:
-        while True:
+        while hops < _BY_HOP:
             pos = succ[pos]
             if pos is None:
-                return _trace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
+                break
             node_id = ids[pos]
             fields = step(tortoise, hops, node_id)
             add_node(node_id)
@@ -271,6 +269,27 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                 return _trace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
+        while pos is not None:
+            segment: list[int] = []
+            add_receiver = segment.append
+            # one successor at a saturated counter: a terminal there ends the walk first
+            for _ in range(_segment_end(hops) - hops or 1):
+                pos = succ[pos]
+                if pos is None:
+                    break
+                add_receiver(ids[pos])
+            if segment:
+                fields = advance(tortoise, hops, segment)
+                if fields is None:
+                    found = segment.index(tortoise) + 1
+                    nodes += segment[:found]
+                    tortoises += repeat(tortoise, found)
+                    return _trace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
+                nodes += segment
+                tortoises += repeat(tortoise, len(segment) - 1)
+                tortoise, hops = fields
+                add_tortoise(tortoise)
+        return _trace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
     except HopOverflow:
         return _trace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
 
@@ -301,10 +320,7 @@ def _hop_labels(first: int) -> tuple[str, ...]:
 
 def _csv_block(nodes, tortoises, first: int) -> str:
     """Rows first + 1 .. first + _CSV_BLOCK (or the last hop), each after a
-    newline, as one text. No text is made per row: the hop cells come from
-    the shared _hop_labels table, every node is hexed by one struct.pack,
-    each run of one tortoise formats its ",%016x,<snapshot>," cells once,
-    and the three columns are interleaved into one list and joined once."""
+    newline, as one text built column by column, with no text made per row."""
     last = min(first + _CSV_BLOCK, len(nodes))
     node_hex = struct.pack(f">{last - first}Q", *nodes[first:last]).hex(",", 8).split(",")
     suffixes: list[str] = []
@@ -334,9 +350,8 @@ def _path(
     """Nodes 0 -> 1 -> ... -> n-1 -> ``last`` (a node, or None for a
     terminal), with the explicit ``ids`` or distinct ids drawn from ``seed``.
 
-    The ids come first, so the draw's transient dict is gone before the
-    successors are built. Drawn ids are exact ints in [0, 2**64) and
-    ``last`` is None or below n, so that graph is made unchecked. Explicit
+    Drawn first, so their dict is gone before the successors are built,
+    the ids make a graph valid by construction (see ``_graph``). Explicit
     ids take the public constructor, which checks each one before the set
     below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
     if ids is None:

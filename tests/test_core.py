@@ -11,7 +11,7 @@ from loopdetect import (
     initialize_packet,
     receive_packet,
 )
-from loopdetect.core import _DETECTED, _transition
+from loopdetect.core import _DETECTED, _advance, _segment_end, _transition
 from loopdetect.reference import _check_int
 from oracles import naive_is_power_of_two, rejection
 
@@ -110,6 +110,58 @@ def test_receive_packet_is_the_kernel_checked_and_wrapped_exhaustively():
                 assert outcome == (False, fields), hops
                 assert type(outcome) is ReceiveOutcome
                 assert type(outcome.updated_header) is LoopHeader
+
+
+def kernel_calls(tortoise, hops, receivers):
+    """``_transition`` over ``receivers``, one call per receiver."""
+    for receiver in receivers:
+        fields = _transition(tortoise, hops, receiver)
+        if fields is None:
+            return None
+        tortoise, hops = fields
+    return tortoise, hops
+
+
+def test_advance_is_the_kernel_over_a_segment_at_every_counter_value():
+    # one walk of kernel calls, receiver k at hop k from the origin
+    # MAX_NODE_ID, gives the state after every hop. From each counter value,
+    # _advance over the rest of its segment, or over a part of it that a
+    # terminal cuts short, must land on that walk's state, and a match at
+    # the segment's first or last receiver must detect. Ranges hold the
+    # receivers, so each counter value costs O(1).
+    states = [(MAX_NODE_ID, 0)]
+    for hop in range(1, MAX_HOPS + 1):
+        states.append(_transition(*states[-1], hop))
+    ends = [MAX_HOPS] * (MAX_HOPS + 1)  # the next power of two, or MAX_HOPS
+    for hops in range(MAX_HOPS - 1, -1, -1):
+        ends[hops] = hops + 1 if naive_is_power_of_two(hops + 1) else ends[hops + 1]
+    assert ends[32768] == MAX_HOPS == states[MAX_HOPS][1] and states[MAX_HOPS][0] == 32768
+    for hops in range(MAX_HOPS):
+        tortoise, end = states[hops][0], ends[hops]
+        assert _segment_end(hops) == end, hops
+        length = end - hops
+        assert _advance(tortoise, hops, range(hops + 1, end + 1)) == states[end], hops
+        assert _advance(tortoise, hops, range(hops + 1, hops + 2)) == states[hops + 1], hops
+        if length > 1:  # a terminal before the segment's last receiver
+            assert _advance(tortoise, hops, range(hops + 1, end)) == states[end - 1], hops
+        first, last = range(tortoise, tortoise + length), range(tortoise - length + 1, tortoise + 1)
+        assert _advance(tortoise, hops, first) is None is _transition(tortoise, hops, tortoise)
+        assert _advance(tortoise, hops, last) is None is _transition(tortoise, end - 1, tortoise)
+    for receiver in (MAX_HOPS, 32768):  # saturated: overflow comes before the comparison
+        with pytest.raises(HopOverflow, match=f"^hop counter saturated at {MAX_HOPS}$"):
+            _advance(32768, MAX_HOPS, [receiver])
+
+
+@pytest.mark.parametrize("hops", [0, 1, 2, 3, 5, 15, 16, 17, 1024, 32767, 32768, 40000])
+def test_advance_on_a_list_is_the_kernel_called_per_receiver(hops):
+    # the lists simulate passes: no match, a match first or last, and a
+    # segment a terminal cuts short, against kernel_calls
+    end = _segment_end(hops)
+    tortoise = 7 << 20
+    receivers = list(range(hops + 1, end + 1))
+    for case in (receivers, [tortoise, *receivers[1:]], [*receivers[:-1], tortoise],
+                 receivers[: len(receivers) // 2 or 1]):
+        assert _advance(tortoise, hops, case) == kernel_calls(tortoise, hops, case), hops
 
 
 def walk(ids):

@@ -20,6 +20,7 @@ from loopdetect import (
     build_chain,
     build_rho,
     inject_duplicate,
+    predict_detection_hop,
     random_functional_graph,
     receive_packet,
     simulate,
@@ -307,13 +308,21 @@ def test_trace_structure_invariants():
         (build_chain(4097, seed=1), 0),
         (build_chain(4098, seed=1), 0),
         (build_rho(4000, 4500, seed=2), 0),
+        (inject_duplicate(build_chain(40, ids=range(40)), 16, 17), 0),
+        (inject_duplicate(build_chain(40, ids=range(40)), 16, 32), 0),
+        (inject_duplicate(build_chain(40, ids=range(40)), 17, 25), 0),
+        (build_chain(33, ids=range(33)), 0),
+        (build_chain(65_536, ids=range(65_536)), 0),
     ],
     ids=["rho", "rho-seeded", "chain", "one-node", "self-loop", "duplicate-fires",
          "duplicate-harmless", "start-in-tail", "hop-overflow", "one-row",
-         "rows-4095", "rows-4096", "rows-4097", "detected-12692"],
+         "rows-4095", "rows-4096", "rows-4097", "detected-12692", "match-first-in-segment",
+         "match-last-in-segment", "duplicate-harmless-in-segment", "terminal-after-snapshot",
+         "terminal-at-saturated-counter"],
 )
 def test_steps_match_a_per_hop_recorder(graph, start):
-    # the CSV blocks hold 4096 rows, so rows-4095..4097 straddle a block end
+    # the CSV blocks hold 4096 rows, so rows-4095..4097 straddle a block end;
+    # walks go by segment past hop 16, so the last five cases sit on segment edges
     trace = simulate(graph, start)
     rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
     assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
@@ -352,6 +361,21 @@ def test_completeness_on_rho_shapes():
         trace = simulate(build_rho(mu, lam, ids=range(mu + lam)), 0)
         assert trace.outcome is Outcome.DETECTED, (mu, lam)
         assert trace.at_hop <= 2 * max(mu, lam, 1) + lam, (mu, lam)
+
+
+def test_detection_hop_at_every_power_of_two_edge():
+    # mu and lambda each one below, at or one above a power of two up to
+    # 2^16, where the segments between snapshots start and end: inside the
+    # counter's horizon a walk detects at the predicted hop, past it the
+    # counter overflows first
+    edges = sorted({value for k in range(17) for value in (2**k - 1, 2**k, 2**k + 1)})
+    pairs = [(mu, lam) for mu in edges for lam in edges if lam >= 1]
+    assert len(pairs) == 2256
+    for mu, lam in pairs:
+        trace = simulate(_rho_by_position(mu, lam), 0)
+        hop = predict_detection_hop(CycleStructure(mu, lam))
+        expected = (Outcome.DETECTED, hop) if hop <= MAX_HOPS else (Outcome.HOP_OVERFLOW, None)
+        assert (trace.outcome, trace.at_hop) == expected, (mu, lam)
 
 
 def test_soundness_on_chains_quick():
