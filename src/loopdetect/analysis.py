@@ -47,8 +47,8 @@ LATENCY_CSV_HEADER = "mu,lambda,brent_hop,ttl_hop,ratio"
 
 # past n(n-1) > 80 * 2**b, 1 - p < exp(-40) and p rounds to 1.0
 _SATURATION_PAIRS = 80
-# up to this width the per-term sum is short and Euler-Maclaurin's step s
-# is too coarse for three corrections
+# up to this width the sum runs term by term (n < 144): Euler-Maclaurin alone
+# is 1.3e12 ulps off at b = 1, 647 at b = 5 and 5 at b = 6, within 1 from b = 7
 _TERMWISE_MAX_BITS = 8
 # (2i - 1, -B_2i / (2i (2i - 1))) for the Bernoulli numbers B_2, B_4, B_6
 _EULER_MACLAURIN = ((1, -1 / 12), (3, 1 / 360), (5, -1 / 1260))

@@ -1,17 +1,14 @@
-"""Command-line front end: simulation traces, collision tables, latency
-tables, and header encode/decode, all as deterministic CSV/text.
+"""Forward one packet and print its trace, tabulate node-id collision
+chances and detection latency, or encode and decode the wire header, all
+as deterministic CSV/text.
 
 Exit codes: 0 success, 2 hop overflow (for latency: the loop lies past
 the hop-counter horizon), 3 internal invariant breach (predictor
-disagrees with simulation), 64 an argument that argparse rejects or
-that the library function it reaches rejects (the message is the
-library's, after the subcommand's usage line), 65 header decode input
-that is not hex or is shorter than 14 bytes, 73 the --out file cannot
-be written. Handlers do not repeat a check the library makes.
+disagrees with simulation), 64 a rejected argument (the reason follows
+the subcommand's usage line), 65 header decode input that is not hex or
+is shorter than 14 bytes, 73 the --out file cannot be written.
 Randomized subcommands take a seed (defaulted if omitted) and echo it,
 so every output is replayable.
-main() may be called repeatedly in one process: it builds its parser
-once, on the first call, and parses each call into a fresh namespace.
 """
 
 import argparse
@@ -42,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code; usage errors raise SystemExit.
+
+    May be called repeatedly in one process: the parser is built once, on
+    the first call, and each call parses into a fresh namespace. A library
+    ValueError exits 64 after the subcommand's usage line, so handlers do
+    not repeat a check the library makes.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -59,8 +63,7 @@ class _Failure(Exception):
     """``(exit code, message)`` of a failed command; main prints and returns it."""
 
 
-# one parser per process: parse_args returns a fresh namespace per call and
-# no default is a mutable container, so repeated main() calls can share it
+# shared by every main() call: no default is a mutable container
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="loopdetect", description=__doc__)
@@ -132,9 +135,7 @@ def _cmd_latency(args) -> int:
     except HopOverflow as exc:  # the case lies past the horizon; its message names it
         rows, horizon = None, str(exc)
     # never emit a predicted hop, nor report a horizon, that a live run does
-    # not reproduce; the run takes node positions as ids, which is exact, as
-    # the kernel only tests ids for equality, so latency draws no ids and
-    # takes no seed
+    # not reproduce; the run needs no seed (see _rho_by_position)
     trace = simulator.simulate(simulator._rho_by_position(case.mu, case.lam), 0)
     if rows is None and trace.outcome is simulator.Outcome.HOP_OVERFLOW:
         raise _Failure(EX_RUNTIME, horizon)

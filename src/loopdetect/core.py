@@ -9,7 +9,7 @@ cache nothing.
 
 The transition lives in one private kernel on trusted plain fields;
 ``receive_packet`` is its checked wrapper, and ``_advance`` its form for
-a stretch of hops between two snapshots.
+a stretch of hops between two snapshots (README, Design 1).
 """
 
 from typing import NamedTuple, Sequence
@@ -50,7 +50,7 @@ class ReceiveOutcome(NamedTuple):
 
 
 _DETECTED = ReceiveOutcome(True, None)
-_new = tuple.__new__
+_new = tuple.__new__  # a NamedTuple without its Python-level constructor
 
 
 def initialize_packet(origin: int) -> LoopHeader:
@@ -74,8 +74,9 @@ def _transition(tortoise: int, hops: int, receiver: int) -> tuple[int, int] | No
 
 
 def _segment_end(hops: int) -> int:
-    """Last hop of the fixed-tortoise segment after ``hops``: the next snapshot, or MAX_HOPS."""
-    return min(1 << hops.bit_length(), MAX_HOPS)
+    """Last hop of the fixed-tortoise segment after ``hops``: the next snapshot,
+    or MAX_HOPS; MAX_HOPS + 1 at a saturated counter, so a walk always moves."""
+    return max(min(1 << hops.bit_length(), MAX_HOPS), hops + 1)
 
 
 def _advance(tortoise: int, hops: int, receivers: Sequence[int]) -> tuple[int, int] | None:
@@ -102,8 +103,7 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     signal upstream is forwarding policy and out of scope here.
     """
     tortoise, hops = header
-    # per hop: one exact inline test; _check_int, called only to raise, names
-    # the first bad value, in encode's field order and then the receiver
+    # names the first bad value: encode's field order, then the receiver
     if not (type(tortoise) is type(hops) is type(receiver) is int and 0 <= hops <= MAX_HOPS
             and 0 <= tortoise <= MAX_NODE_ID and 0 <= receiver <= MAX_NODE_ID):
         _check_int("tortoise", tortoise, 0, MAX_NODE_ID)
@@ -112,6 +112,4 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     fields = _transition(tortoise, hops, receiver)
     if fields is None:
         return _DETECTED
-    # tuple.__new__ skips the Python-level NamedTuple constructors; this
-    # runs once per forwarded hop
     return _new(ReceiveOutcome, (False, _new(LoopHeader, fields)))

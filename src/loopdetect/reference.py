@@ -14,8 +14,7 @@ effectively immutable for the duration of a call.
 The package's one integer check, ``_check_int``, and one container check,
 ``_items``, live here because this module imports nothing from the package:
 the oracles can use them without depending on the code they verify, and
-every other module imports them from here. On the valid path a caller
-tests its value exactly inline and calls ``_check_int`` only to raise.
+every other module imports them from here.
 """
 
 from typing import Any, Callable, NamedTuple, Optional
@@ -25,7 +24,8 @@ NextFn = Callable[[Any], Optional[Any]]
 
 def _check_int(name: str, value, least: int, most: int | None = None) -> None:
     """The one check of every integer argument: ValueError naming ``value``
-    unless it is exactly an int (True and 1.0 fail) in [least, most or no end]."""
+    unless it is exactly an int (True and 1.0 fail) in [least, most or no end].
+    A hot caller tests its value exactly inline and calls this only to raise."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if most is None:

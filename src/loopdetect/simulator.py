@@ -3,20 +3,13 @@
 Topologies are functional graphs: every node has exactly one successor
 (a per-destination next hop) or a terminal, so a packet's path is a walk
 that either exits the network or enters a cycle. The simulator drives
-core's one transition kernel on plain (tortoise, hops) fields: by hop for
-16 hops, then per segment up to the next snapshot, its receivers scanned
-for the fixed tortoise in C by ``core._advance``. The trace is two
-columns: per hop, the receiver and the tortoise the header leaves with.
-Rows are built from those columns only when read, and the CSV renders
-them block by block, column by column. Runs are synchronous and
-single-packet; queuing, loss, and reordering do not affect what is being
-checked here.
-
-Each run owns its graph and trace, so independent runs may execute in
-parallel without synchronization. The one thing runs share is the table
-of CSV hop cells: immutable, made per 4096-row block by the first render
-that reaches the block (about 1 ms), and kept for the process, at most
-16 blocks, about 4 MB once a trace past hop 61 440 has been rendered.
+core's one transition kernel on plain (tortoise, hops) fields, and the
+trace is two columns: per hop, the receiver and the tortoise the header
+leaves with. Runs are synchronous and single-packet; queuing, loss, and
+reordering do not affect what is being checked here. Each run owns its
+graph and trace, so independent runs may execute in parallel; they share
+only an immutable table of CSV hop cells. How a walk runs, and why the
+builders skip the constructor's check: README, Design 1 and 2.
 """
 
 import functools
@@ -56,7 +49,7 @@ class FunctionalGraph:
             raise ValueError("graph needs at least one node")
         if len(self.succ) != n:
             raise ValueError("ids and succ must have equal length")
-        # exactly int, as %x and the codec need; _check_int is called only to raise
+        # exactly int, as %x and the codec need
         for value in self.ids:
             if type(value) is not int or not 0 <= value <= MAX_NODE_ID:
                 _check_int("node id", value, 0, MAX_NODE_ID)
@@ -117,11 +110,8 @@ class SimTrace:
 
 
 def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalGraph:
-    """FunctionalGraph(ids, succ) by dict writes, skipping the constructor's
-    check: only for tuples this module made valid by construction (drawn
-    ids or node positions, successors from range or randrange, ids copied
-    from a checked graph). A graph from outside takes the constructor, so
-    every graph is checked exactly once."""
+    """FunctionalGraph(ids, succ) without the constructor's check, for tuples
+    this module made valid by construction (README, Design 2)."""
     graph = object.__new__(FunctionalGraph)
     fields = graph.__dict__
     fields["ids"], fields["succ"] = ids, succ
@@ -129,7 +119,7 @@ def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalG
 
 
 def _trace(nodes, tortoises, outcome: Outcome, at_hop: Optional[int]) -> SimTrace:
-    """SimTrace(nodes, ...) by dict writes, not the frozen __init__'s setattr calls."""
+    """SimTrace(nodes, ...) without the frozen __init__ (README, Design 2)."""
     trace = object.__new__(SimTrace)
     fields = trace.__dict__
     fields["nodes"], fields["tortoises"] = nodes, tortoises
@@ -237,17 +227,15 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     """Forward one packet from ``start`` until it loops, exits, or its own
     hop counter overflows, which bounds every walk to MAX_HOPS + 1 hops.
 
-    Starts on the origin's header and walks by hop, then by segment (see
-    the module docstring); every end is an outcome, never raised.
-    ``start`` must be an int in [0, n), by ``_check_int``.
+    Every end is an outcome, never raised; the walk goes by hop, then by
+    segment (README, Design 1). ``start`` must be an int in [0, n).
     """
     ids = graph.ids
-    # exactly int, as for a successor index; _check_int is called only to raise
+    # exactly int, as for a successor index
     if type(start) is not int or not 0 <= start < len(ids):
         _check_int("start", start, 0, len(ids) - 1)
     succ = graph.succ
-    # module globals, read per run, so a wrapped kernel is seen; the ids were
-    # checked when the graph was built, so the walk starts on (origin, 0) unchecked
+    # module globals, read per run, so a wrapped kernel is seen
     step, advance = _transition, _advance
     tortoise, hops = ids[start], 0
     nodes: list[int] = []
@@ -273,7 +261,7 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
             segment: list[int] = []
             add_receiver = segment.append
             # one successor at a saturated counter: a terminal there ends the walk first
-            for _ in range(_segment_end(hops) - hops or 1):
+            for _ in range(_segment_end(hops) - hops):
                 pos = succ[pos]
                 if pos is None:
                     break
@@ -312,9 +300,8 @@ def trace_csv(trace: SimTrace) -> str:
 
 @functools.lru_cache(maxsize=MAX_HOPS // _CSV_BLOCK + 1)
 def _hop_labels(first: int) -> tuple[str, ...]:
-    """The "\\n<hop>," cells of rows first + 1 .. first + _CSV_BLOCK, made
-    on the block's first render and shared by every later trace: 16 blocks
-    at most, about 260 KB each."""
+    """The "\\n<hop>," cells of rows first + 1 .. first + _CSV_BLOCK, shared
+    by every trace (README, Design 3)."""
     return tuple(map("\n{},".format, range(first + 1, first + _CSV_BLOCK + 1)))
 
 
@@ -349,11 +336,8 @@ def _path(
 ) -> FunctionalGraph:
     """Nodes 0 -> 1 -> ... -> n-1 -> ``last`` (a node, or None for a
     terminal), with the explicit ``ids`` or distinct ids drawn from ``seed``.
-
-    Drawn first, so their dict is gone before the successors are built,
-    the ids make a graph valid by construction (see ``_graph``). Explicit
-    ids take the public constructor, which checks each one before the set
-    below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
+    Explicit ids take the public constructor, whose check runs before the
+    set below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
     if ids is None:
         return _graph(_draw_distinct_ids(random.Random(seed), n), tuple(range(1, n)) + (last,))
     node_ids = _items("ids", ids)
@@ -366,17 +350,9 @@ def _path(
 
 
 def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:
-    """``count`` distinct 64-bit ids in the order of successive
-    ``getrandbits(64)`` calls, a repeated value skipped.
-
-    ``randbytes(8 * k)`` is ``getrandbits(64 * k)`` in little-endian order,
-    filled from its lowest 32-bit word up, so it yields exactly the values
-    of k successive ``getrandbits(64)`` calls. One draw asks for all
-    ``count`` ids. Only if a set finds a repeat does a dict keep each value's
-    first draw and a refill ask for the ids still missing, so the generator
-    uses up the one-at-a-time loop's words and ends in its state, and a longer
-    draw from one seed starts with a shorter one, as build_within_reach needs.
-    """
+    """``count`` distinct 64-bit ids: the values, and the end state of ``rng``,
+    of successive ``getrandbits(64)`` calls with a repeat skipped, drawn in
+    one call (README, Design 4)."""
     ids: tuple[int, ...] = ()
     while len(set(ids)) < count:
         ids = tuple(dict.fromkeys(ids))  # each value's first draw, in order

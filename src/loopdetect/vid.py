@@ -26,7 +26,6 @@ def packet_digest(payload: bytes, nonce: int) -> bytes:
     nonce must be fresh per retransmission of the same packet; that is
     the caller's obligation.
     """
-    # per hop: one exact inline test, the checks called only to raise
     if type(payload) is not bytes or type(nonce) is not int or not 0 <= nonce <= MAX_NONCE:
         _check_bytes("payload", payload)
         _check_int("nonce", nonce, 0, MAX_NONCE)

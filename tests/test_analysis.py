@@ -82,6 +82,22 @@ def test_exact_relative_error_across_branches(bits):
             assert got == pytest.approx(want, rel=1e-13, abs=0), length
 
 
+@pytest.mark.parametrize("bits", range(1, 11))
+def test_exact_is_within_one_ulp_at_every_length_up_to_the_saturation_cut(bits):
+    # every n from 1 to the first saturated one, on both sides of the
+    # term-wise switch at b = 8: Euler-Maclaurin alone is 5 ulps off at
+    # b = 6 and more below it. The product of (2**b - k) / 2**b grows by
+    # one factor per n instead of the oracle's O(n) rebuild.
+    space, cut = 1 << bits, min(_saturation_cut(bits), (1 << bits) + 1)
+    no_dup = Fraction(1)
+    for length in range(1, cut + 1):
+        want = float(1 - no_dup)
+        got = collision_probability_exact(CollisionQuery(length, bits))
+        assert abs(got - want) <= math.ulp(want), (length, got, want)
+        no_dup *= Fraction(space - length, space)
+    assert 1 - no_dup == exact_collision_fraction(cut + 1, bits)
+
+
 @pytest.mark.parametrize("bits", [24, 32, 48, 64, 128])
 def test_exact_relative_error_long_paths(bits):
     lengths = {4097, 2**16 + 1, 2**20}

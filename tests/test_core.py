@@ -147,6 +147,8 @@ def test_advance_is_the_kernel_over_a_segment_at_every_counter_value():
         first, last = range(tortoise, tortoise + length), range(tortoise - length + 1, tortoise + 1)
         assert _advance(tortoise, hops, first) is None is _transition(tortoise, hops, tortoise)
         assert _advance(tortoise, hops, last) is None is _transition(tortoise, end - 1, tortoise)
+    # saturated: a one-receiver segment, so a walk still moves to the overflow
+    assert _segment_end(MAX_HOPS) == MAX_HOPS + 1
     for receiver in (MAX_HOPS, 32768):  # saturated: overflow comes before the comparison
         with pytest.raises(HopOverflow, match=f"^hop counter saturated at {MAX_HOPS}$"):
             _advance(32768, MAX_HOPS, [receiver])

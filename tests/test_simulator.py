@@ -510,15 +510,22 @@ def _csv_sha256(graph):
     return hashlib.sha256(trace_csv(simulate(graph, 0)).encode()).hexdigest()
 
 
+def _row_by_row_csv_sha256(graph):
+    # the oracles' walk and rendering, one receive_packet call and one row per hop
+    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, 0, receive_packet)
+    text = trace_csv_row_by_row(rows, outcome if at_hop is None else f"{outcome}({at_hop})")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "mu, lam",
     [(0, 65535), (0, 65536), (0, 65537), (0, 65538),
      (65535, 1), (65535, 2), (65535, 3), (65536, 1), (65536, 2)],
 )
 def test_rho_cut_to_reach_keeps_the_trace(mu, lam):
-    cut = build_within_reach(mu, lam, seed=5)
+    cut, full = build_within_reach(mu, lam, seed=5), build_rho(mu, lam, seed=5)
     assert len(cut) == min(mu + lam, REACH)
-    assert _csv_sha256(cut) == _csv_sha256(build_rho(mu, lam, seed=5))
+    assert _csv_sha256(cut) == _csv_sha256(full) == _row_by_row_csv_sha256(full)
 
 
 @pytest.mark.parametrize(
@@ -532,7 +539,9 @@ def test_chain_cut_to_reach_keeps_the_trace(length, outcome):
     assert len(cut) == min(length, REACH)
     text = trace_csv(simulate(cut, 0))
     assert text.endswith(f",{outcome}\n")
-    assert hashlib.sha256(text.encode()).hexdigest() == _csv_sha256(build_chain(length, seed=5))
+    full = build_chain(length, seed=5)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    assert sha == _csv_sha256(full) == _row_by_row_csv_sha256(full)
 
 
 @st.composite
