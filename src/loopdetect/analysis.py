@@ -191,7 +191,10 @@ def _csv(header: str, row_format: str, rows: Iterable[tuple]) -> str:
 
 
 def _checked(query: CollisionQuery) -> CollisionQuery:
-    n, b = query
+    try:
+        n, b = query
+    except (TypeError, ValueError):  # a try costs nothing on the valid path
+        raise ValueError(f"query must be a (path_length, id_bits) pair, got {query!r}") from None
     _check_int("path_length", n, 1)
     _check_int("id_bits", b, 1, 128)
     return query

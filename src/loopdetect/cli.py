@@ -97,13 +97,16 @@ def _build_parser() -> _Parser:
     p_hdr = sub.add_parser("header", help="encode or decode the 14-byte wire header")
     hdr_sub = p_hdr.add_subparsers(dest="mode", required=True)
 
-    p_enc = hdr_sub.add_parser("encode", parents=[out])
-    p_enc.add_argument("--tortoise", type=integer, default=0)
-    p_enc.add_argument("--hops", type=integer, default=0)
-    p_enc.add_argument("--nonce", type=integer, default=0)
+    p_enc = hdr_sub.add_parser("encode", parents=[out], help="print the header's 14 bytes as hex")
+    p_enc.add_argument("--tortoise", type=integer, default=0,
+                       help="node id, an int() literal such as 0x0a0b, 0 to 2**64-1 (default 0)")
+    p_enc.add_argument("--hops", type=integer, default=0,
+                       help="hop count, an int() literal such as 0x0a0b, 0 to 65535 (default 0)")
+    p_enc.add_argument("--nonce", type=integer, default=0,
+                       help="nonce, an int() literal such as 0x0a0b, 0 to 2**32-1 (default 0)")
     p_enc.set_defaults(handler=_cmd_header_encode, parser=p_enc)
 
-    p_dec = hdr_sub.add_parser("decode", parents=[out])
+    p_dec = hdr_sub.add_parser("decode", parents=[out], help="print the fields of a hex header")
     p_dec.add_argument("hex", help="header as hex, at least 28 chars")
     p_dec.set_defaults(handler=_cmd_header_decode, parser=p_dec)
 

@@ -27,7 +27,10 @@ class Truncated(ValueError):
 
 def encode(header: LoopHeader, nonce: int) -> bytes:
     """Pack a header and nonce into the 14-byte wire form."""
-    tortoise, hops = header
+    try:
+        tortoise, hops = header
+    except (TypeError, ValueError):  # a try costs nothing on the valid path
+        raise ValueError(f"header must be a (tortoise, hops) pair, got {header!r}") from None
     try:
         return _pack(tortoise, hops, nonce)  # struct decides what it packs
     except struct.error:

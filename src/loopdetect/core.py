@@ -56,7 +56,7 @@ _new = tuple.__new__  # a NamedTuple without its Python-level constructor
 def initialize_packet(origin: int) -> LoopHeader:
     """Fresh header at the originating node: tortoise = origin, hops = 0."""
     _check_int("node id", origin, 0, MAX_NODE_ID)
-    return _new(LoopHeader, (origin, 0))
+    return LoopHeader(origin, 0)
 
 
 def _transition(tortoise: int, hops: int, receiver: int) -> tuple[int, int] | None:
@@ -102,7 +102,10 @@ def receive_packet(header: LoopHeader, receiver: int) -> ReceiveOutcome:
     no wire header can carry; whether a detected loop means drop, log, or
     signal upstream is forwarding policy and out of scope here.
     """
-    tortoise, hops = header
+    try:
+        tortoise, hops = header
+    except (TypeError, ValueError):  # a try costs nothing on the valid path
+        raise ValueError(f"header must be a (tortoise, hops) pair, got {header!r}") from None
     # names the first bad value: encode's field order, then the receiver
     if not (type(tortoise) is type(hops) is type(receiver) is int and 0 <= hops <= MAX_HOPS
             and 0 <= tortoise <= MAX_NODE_ID and 0 <= receiver <= MAX_NODE_ID):

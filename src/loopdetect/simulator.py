@@ -8,8 +8,8 @@ trace is two columns: per hop, the receiver and the tortoise the header
 leaves with. Runs are synchronous and single-packet; queuing, loss, and
 reordering do not affect what is being checked here. Each run owns its
 graph and trace, so independent runs may execute in parallel; they share
-only an immutable table of CSV hop cells. How a walk runs, and why the
-builders skip the constructor's check: README, Design 1 and 2.
+only an immutable table of CSV hop cells. How a walk runs, and why two
+builders skip the graph's check: README, Design 1 and 2.
 """
 
 import functools
@@ -29,33 +29,34 @@ REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the ov
 _BY_HOP = 16  # hops a walk takes one kernel call each, before it goes by segment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FunctionalGraph:
     """Forwarding topology: node ids by index, one successor (or None) each.
 
     Ids repeat only if a duplicate was injected on purpose; the builders
     below always make them distinct. This constructor checks every id and
-    successor; the graphs the builders make skip it (see ``_graph``).
+    successor; the graphs the timed builders make skip it (see ``_graph``).
     """
 
     ids: tuple[int, ...]
     succ: tuple[Optional[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "succ", tuple(self.succ))
-        n = len(self.ids)
+    def __init__(self, ids: Sequence[int], succ: Sequence[Optional[int]]):
+        ids, succ = _items("ids", ids), _items("succ", succ)
+        n = len(ids)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(self.succ) != n:
+        if len(succ) != n:
             raise ValueError("ids and succ must have equal length")
         # exactly int, as %x and the codec need
-        for value in self.ids:
+        for value in ids:
             if type(value) is not int or not 0 <= value <= MAX_NODE_ID:
                 _check_int("node id", value, 0, MAX_NODE_ID)
-        for nxt in self.succ:
+        for nxt in succ:
             if nxt is not None and (type(nxt) is not int or not 0 <= nxt < n):
                 _check_int("successor index", nxt, 0, n - 1)
+        fields = self.__dict__  # frozen: no __setattr__
+        fields["ids"], fields["succ"] = ids, succ
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -81,7 +82,7 @@ class TraceStep(NamedTuple):
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimTrace:
     """Record of one run plus its outcome, kept as two columns.
 
@@ -98,6 +99,11 @@ class SimTrace:
     outcome: Outcome
     at_hop: Optional[int]
 
+    def __init__(self, nodes, tortoises, outcome: Outcome, at_hop: Optional[int]):
+        fields = self.__dict__  # as fast as skipping the constructor (README, Design 2)
+        fields["nodes"], fields["tortoises"] = nodes, tortoises
+        fields["outcome"], fields["at_hop"] = outcome, at_hop
+
     @functools.cached_property
     def steps(self) -> tuple[TraceStep, ...]:
         """One TraceStep per hop, built on first read; a snapshot is
@@ -110,21 +116,13 @@ class SimTrace:
 
 
 def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalGraph:
-    """FunctionalGraph(ids, succ) without the constructor's check, for tuples
-    this module made valid by construction (README, Design 2)."""
+    """FunctionalGraph(ids, succ) without the constructor's O(n) check: the one
+    bypass, for the tuples of the two builders a benchmark times, valid by
+    construction (README, Design 2)."""
     graph = object.__new__(FunctionalGraph)
     fields = graph.__dict__
     fields["ids"], fields["succ"] = ids, succ
     return graph
-
-
-def _trace(nodes, tortoises, outcome: Outcome, at_hop: Optional[int]) -> SimTrace:
-    """SimTrace(nodes, ...) without the frozen __init__ (README, Design 2)."""
-    trace = object.__new__(SimTrace)
-    fields = trace.__dict__
-    fields["nodes"], fields["tortoises"] = nodes, tortoises
-    fields["outcome"], fields["at_hop"] = outcome, at_hop
-    return trace
 
 
 def build_rho(
@@ -201,7 +199,7 @@ def random_functional_graph(
             succ.append(None)
         else:
             succ.append(rng.randrange(n))
-    return _graph(_draw_distinct_ids(rng, n), tuple(succ))
+    return FunctionalGraph(_draw_distinct_ids(rng, n), succ)
 
 
 def inject_duplicate(
@@ -220,7 +218,7 @@ def inject_duplicate(
         raise ValueError("duplicate positions must differ")
     ids = list(graph.ids)
     ids[position_b] = ids[position_a]
-    return _graph(tuple(ids), graph.succ)
+    return FunctionalGraph(ids, graph.succ)
 
 
 def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
@@ -254,7 +252,7 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
             if fields is None:
                 # the tortoise stands, so the row shows no snapshot
                 add_tortoise(tortoise)
-                return _trace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
+                return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
         while pos is not None:
@@ -272,14 +270,14 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                     found = segment.index(tortoise) + 1
                     nodes += segment[:found]
                     tortoises += repeat(tortoise, found)
-                    return _trace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
+                    return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
                 nodes += segment
                 tortoises += repeat(tortoise, len(segment) - 1)
                 tortoise, hops = fields
                 add_tortoise(tortoise)
-        return _trace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
+        return SimTrace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
     except HopOverflow:
-        return _trace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
+        return SimTrace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"

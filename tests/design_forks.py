@@ -14,7 +14,7 @@ import timeit
 
 from loopdetect import simulator
 from loopdetect.simulator import (
-    FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position, _trace,
+    FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
     build_chain, build_within_reach, simulate, trace_csv,
 )
 from oracles import distinct_ids_one_at_a_time
@@ -59,9 +59,8 @@ def unchecked_builders():
     print(f"2. _graph {median_s(lambda: _graph(ids, succ), 200000) * 1e6:.2f} us, "
           f"FunctionalGraph(...) {median_s(lambda: FunctionalGraph(ids, succ), 100000) * 1e6:.2f} us")
     nodes, tortoises = ids[1:], ids[:1] * 5
-    fast = median_s(lambda: _trace(nodes, tortoises, Outcome.TERMINATED, 5), 200000)
-    slow = median_s(lambda: SimTrace(nodes, tortoises, Outcome.TERMINATED, 5), 100000)
-    print(f"2. _trace {fast * 1e6:.2f} us, SimTrace(...) {slow * 1e6:.2f} us")
+    trace = median_s(lambda: SimTrace(nodes, tortoises, Outcome.TERMINATED, 5), 200000)
+    print(f"2. SimTrace(...) {trace * 1e6:.2f} us, with no bypass")
 
 
 def shared_hop_labels():

@@ -9,9 +9,10 @@ TypeError from deeper down and never a result. The byte strings ``vid``
 hashes are exactly bytes of their length, by ``vid._check_bytes``; what
 ``decode`` and ``forward`` read is bytes-like, and a count of explicit ids or a
 ``terminal_prob`` that does not fit is a plain ValueError too. A container
-argument (explicit ids, ``collision_table``'s grids, ``latency_table``'s
-cases) is iterable, by ``reference._items``, and a cycle structure is a
-(mu, lam) pair. This table is the one place that pins those messages."""
+argument (explicit ids, a graph's ids and successors, ``collision_table``'s
+grids, ``latency_table``'s cases) is iterable, by ``reference._items``; a
+cycle structure, a header and a collision query are pairs. This table is the
+one place that pins those messages."""
 
 import math
 
@@ -267,6 +268,25 @@ CASES = {
         latency_table, ([(0, 3, 1)], 255), "structure must be a (mu, lam) pair, got (0, 3, 1)"
     ),
     "latency_table-cases-int": (latency_table, (5, 255), "cases must be a sequence, got 5"),
+    # each used to leak TypeError from the constructor's len() or tuple()
+    "graph-ids-int": (FunctionalGraph, (5, [None]), "ids must be a sequence, got 5"),
+    "graph-succ-int": (FunctionalGraph, ([5], 3), "succ must be a sequence, got 3"),
+    # a header or a query that is no pair used to leak an unpacking error
+    "encode-header-int": (encode, (5, 1), "header must be a (tortoise, hops) pair, got 5"),
+    "encode-header-triple": (
+        encode, ((1, 2, 3), 0), "header must be a (tortoise, hops) pair, got (1, 2, 3)"
+    ),
+    "receive_packet-header-int": (
+        receive_packet, (5, 1), "header must be a (tortoise, hops) pair, got 5"
+    ),
+    "exact-query-int": (
+        collision_probability_exact, (5,), "query must be a (path_length, id_bits) pair, got 5"
+    ),
+    "approx-query-triple": (
+        collision_probability_approx,
+        ((1, 2, 3),),
+        "query must be a (path_length, id_bits) pair, got (1, 2, 3)",
+    ),
 }
 
 

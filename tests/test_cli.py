@@ -406,6 +406,26 @@ def test_header_encode_names_a_bad_integer_by_its_kind(capsys):
     )
 
 
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+
+
+def test_header_help_describes_each_mode_and_field(capsys):
+    modes = help_text(capsys, "header")
+    assert "encode print the header's 14 bytes as hex" in modes
+    assert "decode print the fields of a hex header" in modes
+    fields = help_text(capsys, "header", "encode")
+    for option, kind, top in [
+        ("--tortoise TORTOISE", "node id", "2**64-1"),
+        ("--hops HOPS", "hop count", "65535"),
+        ("--nonce NONCE", "nonce", "2**32-1"),
+    ]:
+        assert f"{option} {kind}, an int() literal such as 0x0a0b, 0 to {top} (default 0)" in fields
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "trace.csv"
     code, out, _ = run(

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import hashlib
+import inspect
 import math
+import pickle
 import random
 import threading
 import tracemalloc
@@ -230,6 +233,97 @@ def test_simulate_returns_an_ordinary_sim_trace(graph, outcome):
     assert trace.steps is steps == built.steps
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.outcome = Outcome.DETECTED
+
+
+# one value of each frozen dataclass: its fields by keyword, in declaration
+# order, its repr as the dataclass-generated constructor made it, and a
+# change of one field that gives another valid value
+CONSTRUCTED = {
+    "graph": (
+        FunctionalGraph,
+        {"ids": (10, 11, 12), "succ": (1, 2, None)},
+        "FunctionalGraph(ids=(10, 11, 12), succ=(1, 2, None))",
+        {"succ": (1, 2, 0)},
+    ),
+    "trace": (
+        SimTrace,
+        {"nodes": (11, 12), "tortoises": (10, 11, 12), "outcome": Outcome.TERMINATED, "at_hop": 3},
+        "SimTrace(nodes=(11, 12), tortoises=(10, 11, 12), "
+        "outcome=<Outcome.TERMINATED: 'terminated'>, at_hop=3)",
+        {"outcome": Outcome.DETECTED, "at_hop": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructor_takes_each_field_by_keyword_or_position(name):
+    cls, fields, _, _ = CONSTRUCTED[name]
+    assert list(inspect.signature(cls).parameters) == list(fields)
+    assert [field.name for field in dataclasses.fields(cls)] == list(fields)
+    assert cls.__match_args__ == tuple(fields)
+    by_keyword, by_position = cls(**fields), cls(*fields.values())
+    assert vars(by_keyword) == vars(by_position) == fields
+    assert dataclasses.astuple(by_keyword) == tuple(fields.values())
+
+
+def test_graph_constructor_keeps_its_fields_as_tuples():
+    graph = FunctionalGraph(ids=[10, 11, 12], succ=iter([1, 2, None]))
+    assert type(graph.ids) is type(graph.succ) is tuple
+    assert graph == FunctionalGraph((10, 11, 12), (1, 2, None))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructed_value_compares_hashes_and_prints_by_its_fields(name):
+    cls, fields, text, change = CONSTRUCTED[name]
+    value = cls(**fields)
+    assert value == cls(**fields) and hash(value) == hash(tuple(fields.values()))
+    assert repr(value) == text
+    assert value != tuple(fields.values())
+    assert value != cls(**{**fields, **change})
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructed_value_is_frozen(name):
+    cls, fields, _, _ = CONSTRUCTED[name]
+    value = cls(**fields)
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, field)
+    assert vars(value) == fields
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructed_value_survives_pickle_and_deepcopy(name):
+    cls, fields, text, _ = CONSTRUCTED[name]
+    value = cls(**fields)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is cls and twin is not value
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def test_trace_pickles_with_its_cached_steps():
+    trace = simulate(build_rho(2, 3, seed=1), 0)
+    steps = trace.steps
+    twin = pickle.loads(pickle.dumps(trace))
+    assert vars(twin)["steps"] == steps and twin == trace
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_replace_changes_only_the_fields_it_is_given(name):
+    cls, fields, _, change = CONSTRUCTED[name]
+    value = cls(**fields)
+    replaced = dataclasses.replace(value, **change)
+    assert type(replaced) is cls and vars(replaced) == {**fields, **change}
+    assert vars(value) == fields
+
+
+def test_replace_checks_the_graph_again():
+    graph = FunctionalGraph((10, 11, 12), (1, 2, None))
+    assert type(dataclasses.replace(graph, succ=[1, 2, 0]).succ) is tuple
+    with pytest.raises(ValueError, match=r"successor index must be within \[0, 2\], got 3"):
+        dataclasses.replace(graph, succ=(1, 2, 3))
 
 
 def test_simulate_origin_self_loop_detected_at_one():
