@@ -8,8 +8,8 @@ trace is two columns: per hop, the receiver and the tortoise the header
 leaves with. Runs are synchronous and single-packet; queuing, loss, and
 reordering do not affect what is being checked here. Each run owns its
 graph and trace, so independent runs may execute in parallel; they share
-only an immutable table of CSV hop cells. How a walk runs, and why two
-builders skip the graph's check: README, Design 1 and 2.
+only immutable tables of CSV hop cells and of position ints. How a walk
+runs, and why two builders skip the graph's check: README, Design 1 and 2.
 """
 
 import functools
@@ -27,6 +27,7 @@ from .reference import _check_int, _items
 
 REACH = MAX_HOPS + 2  # nodes a walk touches: origin, MAX_HOPS receivers, the overflow node
 _BY_HOP = 16  # hops a walk takes one kernel call each, before it goes by segment
+_set = object.__setattr__  # stores a frozen field and makes no instance dict (README, Design 2)
 
 
 @dataclass(frozen=True, init=False)
@@ -55,8 +56,8 @@ class FunctionalGraph:
         for nxt in succ:
             if nxt is not None and (type(nxt) is not int or not 0 <= nxt < n):
                 _check_int("successor index", nxt, 0, n - 1)
-        fields = self.__dict__  # frozen: no __setattr__
-        fields["ids"], fields["succ"] = ids, succ
+        _set(self, "ids", ids)
+        _set(self, "succ", succ)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -120,8 +121,8 @@ def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalG
     bypass, for the tuples of the two builders a benchmark times, valid by
     construction (README, Design 2)."""
     graph = object.__new__(FunctionalGraph)
-    fields = graph.__dict__
-    fields["ids"], fields["succ"] = ids, succ
+    _set(graph, "ids", ids)
+    _set(graph, "succ", succ)
     return graph
 
 
@@ -337,14 +338,28 @@ def _path(
     Explicit ids take the public constructor, whose check runs before the
     set below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
     if ids is None:
-        return _graph(_draw_distinct_ids(random.Random(seed), n), tuple(range(1, n)) + (last,))
+        return _graph(_draw_distinct_ids(random.Random(seed), n), _range(n)[1:] + (last,))
     node_ids = _items("ids", ids)
     if len(node_ids) != n:
         raise ValueError(f"need {n} ids, got {len(node_ids)}")
-    graph = FunctionalGraph(node_ids, tuple(range(1, n)) + (last,))
+    graph = FunctionalGraph(node_ids, _range(n)[1:] + (last,))
     if len(set(node_ids)) != n:
         raise ValueError("explicit ids must be distinct; use inject_duplicate")
     return graph
+
+
+_positions: tuple[int, ...] = ()  # ints 0..k, grown on demand; never more than REACH + 1
+
+
+def _range(n: int) -> tuple[int, ...]:
+    """tuple(range(n)), its first REACH + 1 ints shared by every graph that
+    ``_path`` builds (README, Design 6). A grown table is stored in one
+    assignment, so a thread always reads a whole 0..k table."""
+    global _positions
+    table, cap = _positions, min(n, REACH + 1)
+    if len(table) < cap:
+        table = _positions = table + tuple(range(len(table), cap))
+    return table[:n] if n <= cap else table + tuple(range(cap, n))
 
 
 def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import itertools
 import random
 import statistics
 import timeit
+import tracemalloc
 
 from loopdetect import simulator
 from loopdetect.simulator import (
@@ -54,10 +55,31 @@ def by_hop_prefix():
               f"{hops[by_hop] / 3000 * 1e9:.0f} ns per hop on a 3000-node chain")
 
 
+def held_bytes(make):
+    """Bytes that what ``make()`` returns holds, counted while it is alive."""
+    tracemalloc.start()
+    made = make()  # kept alive while counted
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return held
+
+
 def unchecked_builders():
     ids, succ = tuple(range(10, 15)), (1, 2, 3, 4, None)
     print(f"2. _graph {median_s(lambda: _graph(ids, succ), 200000) * 1e6:.2f} us, "
           f"FunctionalGraph(...) {median_s(lambda: FunctionalGraph(ids, succ), 100000) * 1e6:.2f} us")
+
+    def graph_with_dict():
+        graph = _graph(ids, succ)
+        vars(graph)  # makes the instance dict, as writing the fields through __dict__ did
+        return graph
+
+    reads = [median_s(lambda: (graph.ids, graph.succ), 500000)
+             for graph in (_graph(ids, succ), graph_with_dict())]
+    sizes = [held_bytes(lambda: [build() for _ in range(10000)]) / 10000
+             for build in (lambda: _graph(ids, succ), graph_with_dict)]
+    print(f"2. a graph takes {sizes[0]:.0f} B and reads both fields in {reads[0] * 1e9:.0f} ns; "
+          f"once the instance has a dict, {sizes[1]:.0f} B and {reads[1] * 1e9:.0f} ns")
     nodes, tortoises = ids[1:], ids[:1] * 5
     trace = median_s(lambda: SimTrace(nodes, tortoises, Outcome.TERMINATED, 5), 200000)
     print(f"2. SimTrace(...) {trace * 1e6:.2f} us, with no bypass")
@@ -94,9 +116,27 @@ def position_ids():
           f"{seeded * 1e3:.2f} ms seeded, {check * 1e3:.2f} ms for the constructor's check")
 
 
+def shared_positions():
+    lengths = [1 + i * 2047 // 999 for i in range(1000)]
+    nodes = sum(lengths)
+    table, simulator._positions = simulator._positions, ()
+    table_bytes = held_bytes(lambda: simulator._range(simulator.REACH + 1))  # the largest table
+
+    def successors():
+        return [build_chain(n, seed=n).succ for n in lengths]
+
+    shared = held_bytes(successors) / nodes
+    shared_range, simulator._range = simulator._range, lambda n: tuple(range(n))
+    own = held_bytes(successors) / nodes
+    simulator._range, simulator._positions = shared_range, table
+    print(f"6. successors of {len(lengths)} chains of 1-2048 nodes: {shared:.1f} B per node with "
+          f"shared positions, {own:.1f} B with ints of their own; the full table {table_bytes / 1e6:.2f} MB")
+
+
 if __name__ == "__main__":
     by_hop_prefix()
     unchecked_builders()
     shared_hop_labels()
     one_call_draw()
     position_ids()
+    shared_positions()

@@ -5,8 +5,11 @@ import inspect
 import math
 import pickle
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from loopdetect import (
     trace_csv,
     visited_set_oracle,
 )
+from loopdetect import simulator
 from loopdetect.reference import _check_int
 from loopdetect.simulator import (
     REACH,
@@ -763,3 +767,80 @@ def test_trace_csv_renders_in_parallel_from_a_cold_cache(csv_cases):
     for thread in threads:
         thread.join()
     assert results == [True] * len(picked)
+
+
+# -- the shared table of position ints -------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 258, REACH, REACH + 1, REACH + 2])
+def test_built_successors_are_the_positions_past_each_node(n):
+    mu = n // 2
+    built = {
+        None: [build_chain(n, seed=n), build_chain(n, ids=range(n))],
+        mu: [build_rho(mu, n - mu, seed=n), build_rho(mu, n - mu, ids=range(n))],
+    }
+    for last, graphs in built.items():
+        for graph in graphs:
+            assert type(graph.succ) is tuple
+            assert graph.succ == tuple(range(1, n)) + (last,)
+
+
+def test_built_graphs_share_their_position_ints():
+    # a position is shared when two graphs hold the same int object for it
+    a = build_chain(400, seed=1)
+    b = build_rho(5, 395, ids=range(1000, 1400))
+    assert a.succ[299] == 300 and a.succ[299] is b.succ[299]
+    assert build_chain(REACH + 5, seed=2).succ[REACH - 1] is simulator._positions[REACH]
+
+
+def test_built_successors_hold_no_int_of_their_own():
+    # one pointer per node; a fresh int past 256 would add 32 B
+    build_chain(2048, seed=0)  # the table holds positions 0..2047 from here on
+    tracemalloc.start()
+    try:
+        held = [build_chain(2048, seed=seed).succ for seed in range(20)]
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held) * 2048 * 8 < current < len(held) * 2048 * 12
+
+
+def test_position_table_starts_empty_and_stops_at_reach():
+    # a fresh interpreter: this one has built graphs already
+    src = str(Path(simulator.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from loopdetect import simulator; print(simulator._positions)"
+    started = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert started.stdout == "()\n"
+    build_chain(REACH + 10, seed=3)
+    assert simulator._positions == tuple(range(REACH + 1))
+
+
+def test_position_table_grows_safely_under_threads(monkeypatch):
+    # each thread keeps building while others grow the table; every graph
+    # must still see its own positions, and the table stays 0..k
+    monkeypatch.setattr(simulator, "_positions", ())
+    barrier = threading.Barrier(4, timeout=60)
+    wrong = []
+
+    def build(seed):
+        rng = random.Random(seed)
+        barrier.wait()
+        for _ in range(200):
+            n = rng.randrange(1, 3000)
+            if build_chain(n, seed=n).succ != tuple(range(1, n)) + (None,):
+                wrong.append(n)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    table = simulator._positions
+    assert 0 < len(table) < 3000 and table == tuple(range(len(table)))
