@@ -9,7 +9,7 @@ leaves with. Runs are synchronous and single-packet; queuing, loss, and
 reordering do not affect what is being checked here. Each run owns its
 graph and trace, so independent runs may execute in parallel; they share
 only immutable tables of CSV hop cells and of position ints. How a walk
-runs, and why two builders skip the graph's check: README, Design 1 and 2.
+runs, and why two builders skip the graph's check: README, Design 1, 2 and 7.
 """
 
 import functools
@@ -17,9 +17,9 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, groupby, islice, repeat
+from itertools import chain, count, cycle, groupby, islice, repeat
 from operator import ne
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import MAX_HOPS, MAX_NODE_ID, HopOverflow, _advance, _segment_end, _transition
 from .core import receive_packet  # not called here; bench/tracing.py wraps this name
@@ -178,9 +178,10 @@ def _rho_by_position(mu: int, lam: int) -> FunctionalGraph:
     The kernel tests ids only for equality, so ``simulate`` gives this
     graph the outcome and ``at_hop`` of any distinct ids on the same
     shape. Positions are distinct by construction, so nothing is drawn
-    or checked, and the successors are the ids' own int objects."""
+    or checked; the ids are the shared position ints (README, Design 6),
+    and the successors the same int objects."""
     mu, lam = _cut_to_reach(mu, lam)
-    ids = tuple(range(mu + lam))
+    ids = _range(mu + lam)
     return _graph(ids, ids[1:] + (mu,))
 
 
@@ -227,7 +228,8 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     hop counter overflows, which bounds every walk to MAX_HOPS + 1 hops.
 
     Every end is an outcome, never raised; the walk goes by hop, then by
-    segment (README, Design 1). ``start`` must be an int in [0, n).
+    segment, from one stream of receivers (README, Design 1 and 7).
+    ``start`` must be an int in [0, n).
     """
     ids = graph.ids
     # exactly int, as for a successor index
@@ -256,29 +258,57 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                 return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
             tortoise, hops = fields
             add_tortoise(tortoise)
-        while pos is not None:
-            segment: list[int] = []
-            add_receiver = segment.append
-            # one successor at a saturated counter: a terminal there ends the walk first
-            for _ in range(_segment_end(hops) - hops):
-                pos = succ[pos]
-                if pos is None:
+        if pos is not None:
+            receivers = _receivers(ids, succ, pos)
+            while True:
+                # one receiver at a saturated counter: a terminal there ends the walk first
+                want = _segment_end(hops) - hops
+                segment = list(islice(receivers, want))
+                if segment:
+                    fields = advance(tortoise, hops, segment)
+                    if fields is None:
+                        found = segment.index(tortoise) + 1
+                        nodes += segment[:found]
+                        tortoises += repeat(tortoise, found)
+                        return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
+                    nodes += segment
+                    tortoises += repeat(tortoise, len(segment) - 1)
+                    tortoise, hops = fields
+                    add_tortoise(tortoise)
+                if len(segment) < want:  # the stream reached a terminal
                     break
-                add_receiver(ids[pos])
-            if segment:
-                fields = advance(tortoise, hops, segment)
-                if fields is None:
-                    found = segment.index(tortoise) + 1
-                    nodes += segment[:found]
-                    tortoises += repeat(tortoise, found)
-                    return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
-                nodes += segment
-                tortoises += repeat(tortoise, len(segment) - 1)
-                tortoise, hops = fields
-                add_tortoise(tortoise)
         return SimTrace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
     except HopOverflow:
         return SimTrace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
+
+
+def _receivers(ids, succ, pos: int) -> Iterator[int]:
+    """The ids a walk meets after position ``pos``, in order, ending at a
+    terminal: slices of ``ids`` where the walk's nodes form a path, node
+    i -> i + 1, else a successor chase (README, Design 7)."""
+    n, last = len(ids), succ[-1]
+    # the walk meets positions from pos on, and from last on once it loops:
+    # the shape test reads only those, so it costs what the walk does
+    lo = pos if last is None or pos < last else last
+    # an O(1) gate, then one comparison in C with the shared positions, no int made
+    if succ[pos] == pos + 1 and n <= REACH + 1 and succ[lo:-1] == _table(n)[lo + 1 : n]:
+        stream = _iter_from(ids, pos + 1)
+        return stream if last is None else chain(stream, cycle(_iter_from(ids, last)))
+    return _chase(ids, succ, pos)
+
+
+def _iter_from(ids: tuple[int, ...], index: int) -> Iterator[int]:
+    """iter(ids[index:]) with no copy: the pickle protocol's __setstate__
+    sets a tuple iterator's index in O(1), where islice would step past
+    the first ``index`` items one by one."""
+    items = iter(ids)
+    items.__setstate__(index)
+    return items
+
+
+def _chase(ids, succ, pos: int) -> Iterator[int]:
+    while (pos := succ[pos]) is not None:
+        yield ids[pos]
 
 
 TRACE_CSV_HEADER = "hop,node_id_hex,tortoise_hex,snapshot,outcome"
@@ -353,13 +383,20 @@ _positions: tuple[int, ...] = ()  # ints 0..k, grown on demand; never more than 
 
 def _range(n: int) -> tuple[int, ...]:
     """tuple(range(n)), its first REACH + 1 ints shared by every graph that
-    ``_path`` builds (README, Design 6). A grown table is stored in one
-    assignment, so a thread always reads a whole 0..k table."""
+    ``_path`` builds (README, Design 6)."""
+    table = _table(n)
+    return table[:n] if n <= len(table) else table + tuple(range(len(table), n))
+
+
+def _table(n: int) -> tuple[int, ...]:
+    """The shared positions, grown first to hold 0..n-1 as far as REACH + 1
+    allows. A grown table is stored in one assignment, so a thread always
+    reads a whole 0..k table."""
     global _positions
     table, cap = _positions, min(n, REACH + 1)
     if len(table) < cap:
         table = _positions = table + tuple(range(len(table), cap))
-    return table[:n] if n <= cap else table + tuple(range(cap, n))
+    return table
 
 
 def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import tracemalloc
 from loopdetect import simulator
 from loopdetect.simulator import (
     FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
-    build_chain, build_within_reach, simulate, trace_csv,
+    build_chain, build_within_reach, random_functional_graph, simulate, trace_csv,
 )
 from oracles import distinct_ids_one_at_a_time
 
@@ -25,16 +25,16 @@ def median_s(call, number):
     return statistics.median(timeit.repeat(call, number=number, repeat=7)) / number
 
 
-def by_hop_medians(call, number, settings):
-    """Seconds per ``call`` with ``simulator._BY_HOP`` at each setting,
-    the settings taking turns so that host drift hits them alike."""
-    saved, samples = simulator._BY_HOP, {by_hop: [] for by_hop in settings}
+def swapped_medians(call, number, name, values):
+    """Seconds per ``call`` with the global ``simulator.<name>`` set to each
+    of ``values``, the values taking turns so that host drift hits them alike."""
+    saved, samples = getattr(simulator, name), {value: [] for value in values}
     for _ in range(7):
-        for by_hop in settings:
-            simulator._BY_HOP = by_hop
-            samples[by_hop].append(timeit.timeit(call, number=number) / number)
-    simulator._BY_HOP = saved
-    return {by_hop: statistics.median(times) for by_hop, times in samples.items()}
+        for value in values:
+            setattr(simulator, name, value)
+            samples[value].append(timeit.timeit(call, number=number) / number)
+    setattr(simulator, name, saved)
+    return {value: statistics.median(times) for value, times in samples.items()}
 
 
 def by_hop_prefix():
@@ -48,8 +48,8 @@ def by_hop_prefix():
 
     chain = build_chain(3000, seed=1)
     settings = (simulator._BY_HOP, 0, 10**9)
-    walks = by_hop_medians(sweep, 3, settings)
-    hops = by_hop_medians(lambda: simulate(chain, 0), 20, settings)
+    walks = swapped_medians(sweep, 3, "_BY_HOP", settings)
+    hops = swapped_medians(lambda: simulate(chain, 0), 20, "_BY_HOP", settings)
     for by_hop in settings:
         print(f"1. first {by_hop} hops by hop: {walks[by_hop] / len(cases) * 1e6:.2f} us per 5-node walk, "
               f"{hops[by_hop] / 3000 * 1e9:.0f} ns per hop on a 3000-node chain")
@@ -125,12 +125,38 @@ def shared_positions():
     def successors():
         return [build_chain(n, seed=n).succ for n in lengths]
 
+    def own_range(n):
+        return tuple(range(n))
+
     shared = held_bytes(successors) / nodes
-    shared_range, simulator._range = simulator._range, lambda n: tuple(range(n))
+    shared_range, simulator._range = simulator._range, own_range
     own = held_bytes(successors) / nodes
     simulator._range, simulator._positions = shared_range, table
     print(f"6. successors of {len(lengths)} chains of 1-2048 nodes: {shared:.1f} B per node with "
           f"shared positions, {own:.1f} B with ints of their own; the full table {table_bytes / 1e6:.2f} MB")
+    shared_range(simulator.REACH + 1)  # the table at its cap, as after a walk past hop 16 on it
+    for mu, lam in ((0, 25000), (32768, 32769)):
+        times = swapped_medians(lambda: _rho_by_position(mu, lam), 20, "_range", (shared_range, own_range))
+        print(f"6. _rho_by_position({mu}, {lam}): {times[shared_range] * 1e3:.2f} ms with shared "
+              f"positions, {times[own_range] * 1e3:.2f} ms with ints of its own")
+
+
+def receiver_stream():
+    graph = random_functional_graph(3000, 0.0, seed=4)
+    start = max(range(3000), key=lambda node: len(simulate(graph, node).nodes))
+    walks = {
+        "latency's (0, 32767) walk": (_rho_by_position(0, 32767), 0),
+        "a 1000-node chain": (build_chain(1000, seed=1), 0),
+        "the walk from node 60000 of a (60000, 20) rho": (_rho_by_position(60000, 20), 60000),
+        "the longest walk on a random 3000-node graph": (graph, start),
+    }
+    stream, chase = simulator._receivers, simulator._chase  # one signature, so either serves
+    for label, (graph, start) in walks.items():
+        hops = len(simulate(graph, start).nodes)
+        times = swapped_medians(lambda: simulate(graph, start), max(1, 100000 // hops), "_receivers",
+                                (stream, chase))
+        print(f"7. {label}, {hops} hops: {times[stream] / hops * 1e9:.0f} ns per hop as streamed, "
+              f"{times[chase] / hops * 1e9:.0f} ns chased")
 
 
 if __name__ == "__main__":
@@ -140,3 +166,4 @@ if __name__ == "__main__":
     one_call_draw()
     position_ids()
     shared_positions()
+    receiver_stream()

@@ -9,7 +9,9 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -644,16 +646,23 @@ def test_chain_cut_to_reach_keeps_the_trace(length, outcome):
 
 @st.composite
 def walks(draw):
-    """A random graph of at most 64 nodes, maybe with a duplicate id, and a start."""
-    n = draw(st.integers(1, 64))
-    graph = random_functional_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
+    """A random graph of at most 64 nodes, or a rho or chain of at most 300,
+    whose walks past hop 16 stream slices of the ids; maybe with a duplicate
+    id, and a start."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 64))
+        graph = random_functional_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
+    else:
+        n = draw(st.integers(1, 300))
+        mu, seed = draw(st.none() | st.integers(0, n - 1)), draw(st.integers(0, 2**32))
+        graph = build_chain(n, seed=seed) if mu is None else build_rho(mu, n - mu, seed=seed)
     if n > 1 and draw(st.booleans()):
         a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         graph = inject_duplicate(graph, a, b)
     return graph, draw(st.integers(0, n - 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(walks())
 def test_default_budget_matches_the_old_guessed_budget(walk):
     # a walk on n nodes ends within the 4(n + 1) hops callers used to budget,
@@ -669,7 +678,7 @@ def test_default_budget_ends_a_long_chain_by_hop_overflow():
     assert len(trace.nodes) == MAX_HOPS
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(walks())
 def test_simulate_and_its_csv_follow_the_public_state_machine(walk):
     graph, start = walk
@@ -844,3 +853,107 @@ def test_position_table_grows_safely_under_threads(monkeypatch):
     assert wrong == []
     table = simulator._positions
     assert 0 < len(table) < 3000 and table == tuple(range(len(table)))
+
+
+# -- the receivers a walk streams ------------------------------------------
+
+
+def _reversed(graph):
+    """The same graph with node i at position n - 1 - i: each walk meets the
+    same ids hop by hop, but node j points to j - 1, so no walk streams."""
+    n = len(graph)
+    succ = tuple(None if nxt is None else n - 1 - nxt for nxt in reversed(graph.succ))
+    return FunctionalGraph(graph.ids[::-1], succ)
+
+
+def _streams(graph, pos):
+    return not isinstance(simulator._receivers(graph.ids, graph.succ, pos), GeneratorType)
+
+
+def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
+    rho, chain = build_rho(20, 30, seed=1), build_chain(40, ids=range(40))
+    assert _streams(rho, 16) and _streams(chain, 16)
+    assert _streams(inject_duplicate(rho, 3, 40), 16)  # the shape, not the ids, decides
+    assert not _streams(_reversed(rho), 16) and not _streams(_reversed(chain), 16)
+    assert not _streams(rho, len(rho) - 1)  # the gate: the last node points back
+    assert not _streams(random_functional_graph(50, 0.0, seed=3), 16)
+    # past REACH + 1 nodes the test would make fresh ints, so such a path chases
+    assert _streams(build_chain(REACH + 1, seed=1), 16)
+    assert not _streams(build_chain(REACH + 2, seed=1), 16)
+
+
+def test_only_the_nodes_a_walk_meets_decide_its_stream():
+    ids, path = tuple(range(100, 140)), tuple(range(1, 40)) + (20,)
+    # nodes 0..9 point anywhere, but the walk from 25 never meets them
+    scrambled = FunctionalGraph(ids, (5, 0, 9, 9, None, 3, 2, 1, 0, 4) + path[10:])
+    assert _streams(scrambled, 25)
+    # the cycle re-enters at 20, below the start, and node 22 breaks the path there
+    broken = FunctionalGraph(ids, path[:22] + (21,) + path[23:])
+    assert not _streams(broken, 25)
+    for graph in (scrambled, broken):
+        streamed = list(islice(simulator._receivers(graph.ids, graph.succ, 25), 200))
+        assert streamed == list(islice(simulator._chase(graph.ids, graph.succ, 25), 200))
+
+
+class _Succ(tuple):
+    """Successors that record how many items each slice of them holds."""
+
+    sliced: list[int] = []
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        if isinstance(key, slice):
+            self.sliced.append(len(item))
+        return item
+
+
+@pytest.mark.parametrize("mu, lam, start", [(60000, 20, 60000), (60000, 20, 59990), (65000, None, 64980)])
+def test_a_short_walk_near_the_end_of_a_large_path_tests_only_its_nodes(mu, lam, start):
+    graph = build_chain(mu, seed=2) if lam is None else build_rho(mu, lam, seed=2)
+    n = len(graph)
+    _Succ.sliced = []
+    receivers = simulator._receivers(graph.ids, _Succ(graph.succ), start)
+    assert not isinstance(receivers, GeneratorType)
+    assert 0 < max(_Succ.sliced) <= n - min(start, mu) - 1
+    assert list(islice(receivers, 100)) == list(islice(simulator._chase(graph.ids, graph.succ, start), 100))
+    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
+    trace = simulate(graph, start)
+    assert trace.nodes == tuple(row[1] for row in rows)
+    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+
+
+@pytest.mark.parametrize("mu, lam", [(0, 1), (0, 5), (3, 7), (16, 1), (17, 16), (31, 2)])
+def test_stream_meets_the_ids_a_successor_chase_meets(mu, lam):
+    graph, want = build_rho(mu, lam, seed=mu + lam), 3 * (mu + lam) + 2
+    for pos in range(mu + lam):
+        streamed = list(islice(simulator._receivers(graph.ids, graph.succ, pos), want))
+        assert streamed == list(islice(simulator._chase(graph.ids, graph.succ, pos), want))
+    chain = build_chain(mu + lam, seed=mu)
+    for pos in range(mu + lam):
+        assert list(simulator._receivers(chain.ids, chain.succ, pos)) == list(chain.ids[pos + 1 :])
+
+
+@pytest.mark.parametrize("mu", [0, 1, 16, 17, 4095, 4096, 32767, 32768, 32769, 65535])
+def test_stream_and_chase_walk_alike_at_the_snapshot_edges(mu):
+    # lam = 32767 from mu = 0 detects at hop 65 535; 32 768 overflows
+    for lam in (1, 2, 16, 17, 4096, 32767, 32768):
+        graph = _rho_by_position(mu, lam)
+        n = len(graph)
+        for start in {0, n // 2, max(n - 2, 0)}:  # n - 2: the last node whose walk streams
+            streamed = simulate(graph, start)
+            assert simulate(_reversed(graph), n - 1 - start) == streamed
+
+
+@pytest.mark.parametrize("length", [65535, 65536, 65537, 65538, 70_000])
+def test_stream_and_chase_walk_alike_on_chains_across_the_counter(length):
+    graph = build_chain(length, seed=length)
+    for start in (0, 1, 2):
+        streamed = simulate(graph, start)
+        assert simulate(_reversed(graph), length - 1 - start) == streamed
+        assert len(streamed.nodes) == min(length - 1 - start, MAX_HOPS)
+
+
+def test_streamed_walks_grow_the_position_table_no_further_than_reach():
+    simulate(build_chain(70_000, seed=5), 0)
+    simulate(random_functional_graph(100_000, 0.0, seed=1), 0)
+    assert len(simulator._positions) <= REACH + 1
