@@ -4,12 +4,14 @@ Topologies are functional graphs: every node has exactly one successor
 (a per-destination next hop) or a terminal, so a packet's path is a walk
 that either exits the network or enters a cycle. The simulator drives
 core's one transition kernel on plain (tortoise, hops) fields, and the
-trace is two columns: per hop, the receiver and the tortoise the header
-leaves with. Runs are synchronous and single-packet; queuing, loss, and
-reordering do not affect what is being checked here. Each run owns its
+trace is one column, the receiver per hop, plus the origin; the tortoise
+each hop leaves with is derived from them. Runs are synchronous and
+single-packet; queuing, loss, and reordering do not affect what is being
+checked here. Each run owns its
 graph and trace, so independent runs may execute in parallel; they share
 only immutable tables of CSV hop cells and of position ints. How a walk
-runs, and why two builders skip the graph's check: README, Design 1, 2 and 7.
+runs, why two builders skip the graph's check, and how the tortoise is
+derived: README, Design 1, 2, 3 and 7.
 """
 
 import functools
@@ -17,7 +19,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, cycle, groupby, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from operator import ne
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -85,25 +87,34 @@ _new = tuple.__new__
 
 @dataclass(frozen=True, init=False)
 class SimTrace:
-    """Record of one run plus its outcome, kept as two columns.
+    """Record of one run plus its outcome, kept as one column.
 
-    ``nodes[i]`` is the receiver at hop i + 1. ``tortoises[0]`` is the
-    origin and ``tortoises[i]`` the tortoise after hop i, so there is one
-    more tortoise than there are nodes; a detecting hop repeats the
-    tortoise before it. ``at_hop`` is the header's ``hops + 1`` at the hop
-    that ended the walk: the detection hop for DETECTED, and for TERMINATED
-    the hop that would have left the graph. It is None for HOP_OVERFLOW.
+    ``nodes[i]`` is the receiver at hop i + 1, and ``origin`` the id of the
+    node the walk started from, the header's first tortoise. ``at_hop`` is
+    the header's ``hops + 1`` at the hop that ended the walk: the detection
+    hop for DETECTED, and for TERMINATED the hop that would have left the
+    graph. It is None for HOP_OVERFLOW. The tortoises are not stored; they
+    follow from the nodes (README, Design 3).
     """
 
     nodes: tuple[int, ...]
-    tortoises: tuple[int, ...]
+    origin: int
     outcome: Outcome
     at_hop: Optional[int]
 
-    def __init__(self, nodes, tortoises, outcome: Outcome, at_hop: Optional[int]):
+    def __init__(self, nodes, origin: int, outcome: Outcome, at_hop: Optional[int]):
         fields = self.__dict__  # as fast as skipping the constructor (README, Design 2)
-        fields["nodes"], fields["tortoises"] = nodes, tortoises
+        fields["nodes"], fields["origin"] = nodes, origin
         fields["outcome"], fields["at_hop"] = outcome, at_hop
+
+    @functools.cached_property
+    def tortoises(self) -> tuple[int, ...]:
+        """The origin, then the tortoise after each hop, one more than there
+        are nodes, derived on first read; a detecting hop repeats the
+        tortoise before it."""
+        nodes = self.nodes
+        runs = (repeat(tortoise, hi - lo) for tortoise, _, lo, hi in _runs(nodes, 0, len(nodes)))
+        return (self.origin, *chain.from_iterable(runs))
 
     @functools.cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -238,11 +249,10 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     succ = graph.succ
     # module globals, read per run, so a wrapped kernel is seen
     step, advance = _transition, _advance
-    tortoise, hops = ids[start], 0
+    origin = tortoise = ids[start]
+    hops = 0
     nodes: list[int] = []
-    tortoises = [tortoise]
     add_node = nodes.append
-    add_tortoise = tortoises.append
     pos = start
     try:
         while hops < _BY_HOP:
@@ -253,11 +263,8 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
             fields = step(tortoise, hops, node_id)
             add_node(node_id)
             if fields is None:
-                # the tortoise stands, so the row shows no snapshot
-                add_tortoise(tortoise)
-                return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + 1)
+                return SimTrace(tuple(nodes), origin, _DETECTED, hops + 1)
             tortoise, hops = fields
-            add_tortoise(tortoise)
         if pos is not None:
             receivers = _receivers(ids, succ, pos)
             while True:
@@ -269,29 +276,28 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                     if fields is None:
                         found = segment.index(tortoise) + 1
                         nodes += segment[:found]
-                        tortoises += repeat(tortoise, found)
-                        return SimTrace(tuple(nodes), tuple(tortoises), _DETECTED, hops + found)
+                        return SimTrace(tuple(nodes), origin, _DETECTED, hops + found)
                     nodes += segment
-                    tortoises += repeat(tortoise, len(segment) - 1)
                     tortoise, hops = fields
-                    add_tortoise(tortoise)
                 if len(segment) < want:  # the stream reached a terminal
                     break
-        return SimTrace(tuple(nodes), tuple(tortoises), _TERMINATED, hops + 1)
+        return SimTrace(tuple(nodes), origin, _TERMINATED, hops + 1)
     except HopOverflow:
-        return SimTrace(tuple(nodes), tuple(tortoises), _HOP_OVERFLOW, None)
+        return SimTrace(tuple(nodes), origin, _HOP_OVERFLOW, None)
 
 
 def _receivers(ids, succ, pos: int) -> Iterator[int]:
     """The ids a walk meets after position ``pos``, in order, ending at a
     terminal: slices of ``ids`` where the walk's nodes form a path, node
-    i -> i + 1, else a successor chase (README, Design 7)."""
+    i -> i + 1 up to the last node, else a successor chase (README, Design 7)."""
     n, last = len(ids), succ[-1]
     # the walk meets positions from pos on, and from last on once it loops:
     # the shape test reads only those, so it costs what the walk does
     lo = pos if last is None or pos < last else last
-    # an O(1) gate, then one comparison in C with the shared positions, no int made
-    if succ[pos] == pos + 1 and n <= REACH + 1 and succ[lo:-1] == _table(n)[lo + 1 : n]:
+    # an O(1) gate (the last node may point anywhere), then one comparison
+    # in C with the shared positions, no int made
+    gate = succ[pos] == pos + 1 or pos == n - 1
+    if gate and n <= REACH + 1 and succ[lo:-1] == _table(n)[lo + 1 : n]:
         stream = _iter_from(ids, pos + 1)
         return stream if last is None else chain(stream, cycle(_iter_from(ids, last)))
     return _chase(ids, succ, pos)
@@ -321,8 +327,8 @@ def trace_csv(trace: SimTrace) -> str:
     """Render a trace as CSV, one row per step; the final row carries the
     outcome. Node ids print as 16-digit lowercase hex."""
     nodes = trace.nodes
-    tortoises = trace.tortoises
-    blocks = [_csv_block(nodes, tortoises, first) for first in range(0, len(nodes), _CSV_BLOCK)]
+    detected = trace.at_hop if trace.outcome is _DETECTED else None
+    blocks = [_csv_block(nodes, detected, first) for first in range(0, len(nodes), _CSV_BLOCK)]
     # no hops: the outcome sits on a row of empty cells
     return "".join([TRACE_CSV_HEADER, *(blocks or ["\n,,,,"]), _outcome_label(trace), "\n"])
 
@@ -334,24 +340,36 @@ def _hop_labels(first: int) -> tuple[str, ...]:
     return tuple(map("\n{},".format, range(first + 1, first + _CSV_BLOCK + 1)))
 
 
-def _csv_block(nodes, tortoises, first: int) -> str:
+def _csv_block(nodes, detected: Optional[int], first: int) -> str:
     """Rows first + 1 .. first + _CSV_BLOCK (or the last hop), each after a
-    newline, as one text built column by column, with no text made per row."""
+    newline, as one text built column by column, with no text made per row.
+    ``detected`` is the detecting hop, or None."""
     last = min(first + _CSV_BLOCK, len(nodes))
     node_hex = struct.pack(f">{last - first}Q", *nodes[first:last]).hex(",", 8).split(",")
     suffixes: list[str] = []
-    before = tortoises[first]
-    for tortoise, run in groupby(tortoises[first + 1 : last + 1]):
-        # a tortoise change is a snapshot; the rest of its run repeats it
+    for tortoise, snapshot, lo, hi in _runs(nodes, first, last):
         cell = ",%016x," % tortoise
-        suffixes.append(cell + ("1," if tortoise != before else "0,"))
-        suffixes += repeat(cell + "0,", len(list(run)) - 1)
-        before = tortoise
+        if snapshot:  # a power-of-two hop snapshots, unless it detected
+            suffixes.append(cell + ("0," if lo == detected else "1,"))
+            lo += 1
+        suffixes += repeat(cell + "0,", hi - lo)
     cells = [""] * (3 * len(node_hex))
     cells[0::3] = _hop_labels(first)[: len(node_hex)]
     cells[1::3] = node_hex
     cells[2::3] = suffixes
     return "".join(cells)
+
+
+def _runs(nodes, first: int, last: int) -> Iterator[tuple[int, bool, int, int]]:
+    """(tortoise, snapshot, lo, hi) for each run of hops lo .. hi - 1 within
+    first + 1 .. last that leave with one tortoise, ``snapshot`` telling
+    whether hop lo is the run's power of two (README, Design 3)."""
+    lo = first + 1
+    while lo <= last:
+        p = 1 << (lo.bit_length() - 1)  # the run's power of two: hops p .. 2p - 1 keep its receiver
+        hi = min(2 * p, last + 1)
+        yield nodes[p - 1], lo == p, lo, hi
+        lo = hi
 
 
 def _outcome_label(trace: SimTrace) -> str:

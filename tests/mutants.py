@@ -32,15 +32,21 @@ MUTANTS = [
     ("virtual id little-endian", "vid.py", 'Struct(">Q")', 'Struct("<Q")'),
     ("REACH cut one short", "simulator.py", "REACH = MAX_HOPS + 2", "REACH = MAX_HOPS + 1"),
     ("saturation cut at 8", "analysis.py", "_SATURATION_PAIRS = 80", "_SATURATION_PAIRS = 8"),
-    ("repeated tortoise marked as a snapshot", "simulator.py",
-     'suffixes += repeat(cell + "0,"', 'suffixes += repeat(cell + "1,"'),
     ("hop labels start one early", "simulator.py",
      "range(first + 1, first + _CSV_BLOCK + 1)", "range(first, first + _CSV_BLOCK)"),
+    # the tortoise derived from the nodes
+    ("repeated tortoise marked as a snapshot", "simulator.py",
+     'suffixes += repeat(cell + "0,", hi - lo)', 'suffixes += repeat(cell + "1,", hi - lo)'),
+    ("derived tortoise index one hop early", "simulator.py", "yield nodes[p - 1]", "yield nodes[p - 2]"),
+    ("detecting power-of-two hop flagged as a snapshot", "simulator.py",
+     '("0," if lo == detected else "1,")', '"1,"'),
     # the receiver stream
     ("path test compares succ shifted by one", "simulator.py",
      "succ[lo:-1] == _table(n)", "succ[lo + 1:] == _table(n)"),
     ("path test skips the cycle's nodes before the start", "simulator.py",
      "pos < last else last", "pos < last else pos"),
+    ("stream gate refuses the last node", "simulator.py",
+     "gate = succ[pos] == pos + 1 or pos == n - 1", "gate = succ[pos] == pos + 1"),
     ("cycle starts one node late", "simulator.py",
      "cycle(_iter_from(ids, last))", "cycle(_iter_from(ids, last + 1))"),
     ("stream starts at the current node", "simulator.py",

@@ -230,13 +230,14 @@ def test_draw_distinct_ids_refills_a_repeat_inside_the_first_draw():
 )
 def test_simulate_returns_an_ordinary_sim_trace(graph, outcome):
     trace = simulate(graph, 0)
-    built = SimTrace(trace.nodes, trace.tortoises, trace.outcome, trace.at_hop)
+    built = SimTrace(trace.nodes, trace.origin, trace.outcome, trace.at_hop)
     assert type(trace) is SimTrace and trace.outcome is outcome
     assert trace == built and hash(trace) == hash(built) and repr(trace) == repr(built)
     assert dataclasses.asdict(trace) == dataclasses.asdict(built)
-    assert "steps" not in vars(trace)
+    assert "steps" not in vars(trace) and "tortoises" not in vars(trace)
     steps = trace.steps
     assert trace.steps is steps == built.steps
+    assert trace.tortoises is trace.tortoises == built.tortoises
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.outcome = Outcome.DETECTED
 
@@ -253,8 +254,8 @@ CONSTRUCTED = {
     ),
     "trace": (
         SimTrace,
-        {"nodes": (11, 12), "tortoises": (10, 11, 12), "outcome": Outcome.TERMINATED, "at_hop": 3},
-        "SimTrace(nodes=(11, 12), tortoises=(10, 11, 12), "
+        {"nodes": (11, 12), "origin": 10, "outcome": Outcome.TERMINATED, "at_hop": 3},
+        "SimTrace(nodes=(11, 12), origin=10, "
         "outcome=<Outcome.TERMINATED: 'terminated'>, at_hop=3)",
         {"outcome": Outcome.DETECTED, "at_hop": 2},
     ),
@@ -313,7 +314,8 @@ def test_trace_pickles_with_its_cached_steps():
     trace = simulate(build_rho(2, 3, seed=1), 0)
     steps = trace.steps
     twin = pickle.loads(pickle.dumps(trace))
-    assert vars(twin)["steps"] == steps and twin == trace
+    assert vars(twin)["steps"] == steps and vars(twin)["tortoises"] == trace.tortoises
+    assert twin == trace
 
 
 @pytest.mark.parametrize("name", CONSTRUCTED)
@@ -391,6 +393,58 @@ def test_trace_structure_invariants():
             assert step.snapshot_taken is naive_is_power_of_two(step.hop)
 
 
+# -- the tortoise, derived from the nodes ----------------------------------
+
+
+def _matches_the_oracle(graph, start=0):
+    """simulate's trace of the walk from ``start``, once its nodes, derived
+    tortoises, steps, outcome and CSV equal the row-by-row oracle's."""
+    trace = simulate(graph, start)
+    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
+    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+    assert trace.nodes == tuple(row[1] for row in rows)
+    assert trace.tortoises == (graph.ids[start], *(row[2] for row in rows))
+    assert trace.steps == tuple(rows)
+    label = outcome if at_hop is None else f"{outcome}({at_hop})"
+    assert trace_csv(trace) == trace_csv_row_by_row(rows, label)
+    return trace
+
+
+def _rho_detecting_at(p):
+    """A rho of distinct ids whose walk from node 0 detects at hop p, a power
+    of two: the receiver there is the node the snapshot at hop p / 2 took."""
+    mu, lam = {1: (0, 1), 2: (1, 1)}.get(p, (0, p // 2))
+    return build_rho(mu, lam, ids=range(1000, 1000 + mu + lam))
+
+
+def _chain_detecting_at(p):
+    """A chain whose walk from node 0 falsely detects at hop p, a power of
+    two: node p repeats the id of node p // 2, the tortoise from hop p // 2."""
+    return inject_duplicate(build_chain(p + 2, ids=range(p + 2)), p // 2, p)
+
+
+@pytest.mark.parametrize("p", [1 << k for k in range(16)])
+def test_a_detecting_power_of_two_hop_takes_no_snapshot(p):
+    # the receiver equals the tortoise at a detecting hop, so the tortoise
+    # cell holds the detecting id, and the flag is 0 though the hop is a power of two
+    for graph in (_rho_detecting_at(p), _chain_detecting_at(p)):
+        trace = _matches_the_oracle(graph)
+        assert (trace.outcome, trace.at_hop, len(trace.nodes)) == (Outcome.DETECTED, p, p)
+        cell = f"{trace.nodes[-1]:016x}"
+        assert trace_csv(trace).splitlines()[-1] == f"{p},{cell},{cell},0,detected({p})"
+
+
+@pytest.mark.parametrize("graph", [build_chain(34, ids=range(34)), build_rho(5, 29, ids=range(34))],
+                         ids=["chain", "rho"])
+def test_duplicate_ids_derive_the_tortoise_the_header_carried(graph):
+    # every ordered pair of positions: a false match at any hop, before or
+    # after a snapshot, or none, and past hop 16 within a segment
+    clean = simulate(graph, 0).at_hop
+    pairs = [(a, b) for a in range(34) for b in range(34) if a != b]
+    moved = sum(_matches_the_oracle(inject_duplicate(graph, a, b)).at_hop != clean for a, b in pairs)
+    assert moved > 50  # a false match moved the walk's end
+
+
 @pytest.mark.parametrize(
     "graph, start",
     [
@@ -413,31 +467,29 @@ def test_trace_structure_invariants():
         (inject_duplicate(build_chain(40, ids=range(40)), 17, 25), 0),
         (build_chain(33, ids=range(33)), 0),
         (build_chain(65_536, ids=range(65_536)), 0),
+        (_rho_detecting_at(4096), 0),
+        (inject_duplicate(build_chain(4100, ids=range(4100)), 4096, 4097), 0),
+        (_rho_by_position(0, 32768), 0),
     ],
     ids=["rho", "rho-seeded", "chain", "one-node", "self-loop", "duplicate-fires",
          "duplicate-harmless", "start-in-tail", "hop-overflow", "one-row",
          "rows-4095", "rows-4096", "rows-4097", "detected-12692", "match-first-in-segment",
          "match-last-in-segment", "duplicate-harmless-in-segment", "terminal-after-snapshot",
-         "terminal-at-saturated-counter"],
+         "terminal-at-saturated-counter", "detected-4096", "duplicate-4097", "overflow-in-a-cycle"],
 )
 def test_steps_match_a_per_hop_recorder(graph, start):
-    # the CSV blocks hold 4096 rows, so rows-4095..4097 straddle a block end;
-    # walks go by segment past hop 16, so the last five cases sit on segment edges
-    trace = simulate(graph, start)
-    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
-    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
-    label = outcome if at_hop is None else f"{outcome}({at_hop})"
-    assert trace_csv(trace) == trace_csv_row_by_row(rows, label)
-    assert trace.steps == tuple(rows)
+    # the CSV blocks hold 4096 rows, so rows-4095..4097 and the detections at
+    # hops 4096 and 4097 straddle a block end; walks go by segment past hop 16,
+    # so the five cases before them sit on segment edges
+    trace = _matches_the_oracle(graph, start)
     assert all(type(step) is TraceStep for step in trace.steps)
     assert all(type(step.snapshot_taken) is bool for step in trace.steps)
     assert trace.steps is trace.steps  # built once, on first read
-    assert len(trace.tortoises) == len(trace.nodes) + 1 == len(rows) + 1
-    assert trace.tortoises[0] == graph.ids[start]
 
 
 def test_simulate_memory_stays_in_columns():
-    # a 65 535-hop overflow run; one TraceStep per hop peaked at ~8.4 MB
+    # a 65 535-hop overflow run; one TraceStep per hop peaked at ~8.4 MB, a
+    # stored tortoise column beside the nodes at 2.15 MB, the nodes alone at 1.10 MB
     graph = build_rho(1256, 58698)
     tracemalloc.start()
     try:
@@ -447,7 +499,7 @@ def test_simulate_memory_stays_in_columns():
         tracemalloc.stop()
     assert trace.outcome is Outcome.HOP_OVERFLOW
     assert len(trace.nodes) == 65535
-    assert peak < 3_000_000
+    assert peak < 1_500_000
 
 
 def test_simulate_determinism():
@@ -681,14 +733,7 @@ def test_default_budget_ends_a_long_chain_by_hop_overflow():
 @settings(max_examples=600, deadline=None)
 @given(walks())
 def test_simulate_and_its_csv_follow_the_public_state_machine(walk):
-    graph, start = walk
-    trace = simulate(graph, start)
-    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
-    assert trace.nodes == tuple(row[1] for row in rows)
-    assert trace.tortoises == (graph.ids[start], *(row[2] for row in rows))
-    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
-    label = outcome if at_hop is None else f"{outcome}({at_hop})"
-    assert trace_csv(trace) == trace_csv_row_by_row(rows, label)
+    _matches_the_oracle(*walk)
 
 
 @pytest.fixture(scope="module")
@@ -875,7 +920,7 @@ def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
     assert _streams(rho, 16) and _streams(chain, 16)
     assert _streams(inject_duplicate(rho, 3, 40), 16)  # the shape, not the ids, decides
     assert not _streams(_reversed(rho), 16) and not _streams(_reversed(chain), 16)
-    assert not _streams(rho, len(rho) - 1)  # the gate: the last node points back
+    assert _streams(rho, len(rho) - 1) and _streams(chain, len(chain) - 1)  # the last node may point back
     assert not _streams(random_functional_graph(50, 0.0, seed=3), 16)
     # past REACH + 1 nodes the test would make fresh ints, so such a path chases
     assert _streams(build_chain(REACH + 1, seed=1), 16)
@@ -905,6 +950,23 @@ class _Succ(tuple):
         if isinstance(key, slice):
             self.sliced.append(len(item))
         return item
+
+
+@pytest.mark.parametrize(
+    "graph, start",
+    [(build_chain(17, seed=17), 0), (build_chain(40, seed=1), 23), (build_rho(20, 30, seed=1), 33)]
+    + [(build_rho(mu, 17 - mu, seed=mu), 0) for mu in range(17)],
+    ids=["chain-17", "chain-40-from-23", "rho-20-30-from-33", *(f"rho-{mu}-{17 - mu}" for mu in range(17))],
+)
+def test_a_walk_on_the_last_node_at_hop_16_streams(monkeypatch, graph, start):
+    # the last node points back, or to a terminal, so it fails succ[pos] ==
+    # pos + 1; its walk still meets only the path, and streams the cycle
+    def no_chase(ids, succ, pos):
+        raise AssertionError(f"chased from position {pos}")
+
+    assert start + 16 == len(graph) - 1
+    monkeypatch.setattr(simulator, "_chase", no_chase)
+    assert _matches_the_oracle(graph, start).at_hop > 16  # it took the stream after hop 16
 
 
 @pytest.mark.parametrize("mu, lam, start", [(60000, 20, 60000), (60000, 20, 59990), (65000, None, 64980)])
@@ -939,7 +1001,7 @@ def test_stream_and_chase_walk_alike_at_the_snapshot_edges(mu):
     for lam in (1, 2, 16, 17, 4096, 32767, 32768):
         graph = _rho_by_position(mu, lam)
         n = len(graph)
-        for start in {0, n // 2, max(n - 2, 0)}:  # n - 2: the last node whose walk streams
+        for start in {0, n // 2, max(n - 2, 0)}:  # n - 2: the next hop is the last node
             streamed = simulate(graph, start)
             assert simulate(_reversed(graph), n - 1 - start) == streamed
 
