@@ -10,8 +10,8 @@ single-packet; queuing, loss, and reordering do not affect what is being
 checked here. Each run owns its
 graph and trace, so independent runs may execute in parallel; they share
 only immutable tables of CSV hop cells and of position ints. How a walk
-runs, why two builders skip the graph's check, and how the tortoise is
-derived: README, Design 1, 2, 3 and 7.
+runs, why the builders skip the graph's check and mark their paths, and how
+the tortoise is derived: README, Design 1, 2, 3 and 7.
 """
 
 import functools
@@ -38,11 +38,13 @@ class FunctionalGraph:
 
     Ids repeat only if a duplicate was injected on purpose; the builders
     below always make them distinct. This constructor checks every id and
-    successor; the graphs the timed builders make skip it (see ``_graph``).
+    successor; the builders' graphs skip it, and are marked as paths (see
+    ``_graph``).
     """
 
     ids: tuple[int, ...]
     succ: tuple[Optional[int], ...]
+    _is_path = False  # not a field: set only by _graph, so simulate streams (README, Design 7)
 
     def __init__(self, ids: Sequence[int], succ: Sequence[Optional[int]]):
         ids, succ = _items("ids", ids), _items("succ", succ)
@@ -128,12 +130,13 @@ class SimTrace:
 
 
 def _graph(ids: tuple[int, ...], succ: tuple[Optional[int], ...]) -> FunctionalGraph:
-    """FunctionalGraph(ids, succ) without the constructor's O(n) check: the one
-    bypass, for the tuples of the two builders a benchmark times, valid by
-    construction (README, Design 2)."""
+    """FunctionalGraph(ids, succ) without the constructor's O(n) check, marked
+    as a path: the one bypass, for the tuples of the two path builders, valid
+    by construction or checked already (README, Design 2 and 7)."""
     graph = object.__new__(FunctionalGraph)
     _set(graph, "ids", ids)
     _set(graph, "succ", succ)
+    _set(graph, "_is_path", True)
     return graph
 
 
@@ -266,7 +269,7 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                 return SimTrace(tuple(nodes), origin, _DETECTED, hops + 1)
             tortoise, hops = fields
         if pos is not None:
-            receivers = _receivers(ids, succ, pos)
+            receivers = _stream(ids, succ[-1], pos) if graph._is_path else _chase(ids, succ, pos)
             while True:
                 # one receiver at a saturated counter: a terminal there ends the walk first
                 want = _segment_end(hops) - hops
@@ -286,21 +289,11 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
         return SimTrace(tuple(nodes), origin, _HOP_OVERFLOW, None)
 
 
-def _receivers(ids, succ, pos: int) -> Iterator[int]:
-    """The ids a walk meets after position ``pos``, in order, ending at a
-    terminal: slices of ``ids`` where the walk's nodes form a path, node
-    i -> i + 1 up to the last node, else a successor chase (README, Design 7)."""
-    n, last = len(ids), succ[-1]
-    # the walk meets positions from pos on, and from last on once it loops:
-    # the shape test reads only those, so it costs what the walk does
-    lo = pos if last is None or pos < last else last
-    # an O(1) gate (the last node may point anywhere), then one comparison
-    # in C with the shared positions, no int made
-    gate = succ[pos] == pos + 1 or pos == n - 1
-    if gate and n <= REACH + 1 and succ[lo:-1] == _table(n)[lo + 1 : n]:
-        stream = _iter_from(ids, pos + 1)
-        return stream if last is None else chain(stream, cycle(_iter_from(ids, last)))
-    return _chase(ids, succ, pos)
+def _stream(ids: tuple[int, ...], last: Optional[int], pos: int) -> Iterator[int]:
+    """The ids a walk on a path, node i -> i + 1 and the last node -> ``last``,
+    meets after position ``pos``, in order: slices of ``ids`` (README, Design 7)."""
+    stream = _iter_from(ids, pos + 1)
+    return stream if last is None else chain(stream, cycle(_iter_from(ids, last)))
 
 
 def _iter_from(ids: tuple[int, ...], index: int) -> Iterator[int]:
@@ -383,38 +376,32 @@ def _path(
 ) -> FunctionalGraph:
     """Nodes 0 -> 1 -> ... -> n-1 -> ``last`` (a node, or None for a
     terminal), with the explicit ``ids`` or distinct ids drawn from ``seed``.
-    Explicit ids take the public constructor, whose check runs before the
-    set below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
+    Explicit ids pass the public constructor's check first, before the set
+    below hashes them, so ``[1, 2, [3]]`` is named, not a TypeError."""
+    succ = _range(n)[1:] + (last,)
     if ids is None:
-        return _graph(_draw_distinct_ids(random.Random(seed), n), _range(n)[1:] + (last,))
+        return _graph(_draw_distinct_ids(random.Random(seed), n), succ)
     node_ids = _items("ids", ids)
     if len(node_ids) != n:
         raise ValueError(f"need {n} ids, got {len(node_ids)}")
-    graph = FunctionalGraph(node_ids, _range(n)[1:] + (last,))
+    FunctionalGraph(node_ids, succ)
     if len(set(node_ids)) != n:
         raise ValueError("explicit ids must be distinct; use inject_duplicate")
-    return graph
+    return _graph(node_ids, succ)
 
 
-_positions: tuple[int, ...] = ()  # ints 0..k, grown on demand; never more than REACH + 1
+_positions: tuple[int, ...] = ()  # ints 0..k, grown by the builders; never more than REACH + 1
 
 
 def _range(n: int) -> tuple[int, ...]:
-    """tuple(range(n)), its first REACH + 1 ints shared by every graph that
-    ``_path`` builds (README, Design 6)."""
-    table = _table(n)
-    return table[:n] if n <= len(table) else table + tuple(range(len(table), n))
-
-
-def _table(n: int) -> tuple[int, ...]:
-    """The shared positions, grown first to hold 0..n-1 as far as REACH + 1
-    allows. A grown table is stored in one assignment, so a thread always
-    reads a whole 0..k table."""
+    """tuple(range(n)), its first REACH + 1 ints shared by every graph the
+    two path builders make (README, Design 6). A grown table is stored in one
+    assignment, so a thread always reads a whole 0..k table."""
     global _positions
     table, cap = _positions, min(n, REACH + 1)
     if len(table) < cap:
         table = _positions = table + tuple(range(len(table), cap))
-    return table
+    return table[:n] if n <= len(table) else table + tuple(range(len(table), n))
 
 
 def _draw_distinct_ids(rng: random.Random, count: int) -> tuple[int, ...]:

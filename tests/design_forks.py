@@ -16,7 +16,7 @@ import tracemalloc
 from loopdetect import simulator
 from loopdetect.simulator import (
     FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
-    build_chain, build_within_reach, random_functional_graph, simulate, trace_csv,
+    build_chain, build_within_reach, simulate, trace_csv,
 )
 from oracles import distinct_ids_one_at_a_time
 
@@ -134,7 +134,7 @@ def shared_positions():
     simulator._range, simulator._positions = shared_range, table
     print(f"6. successors of {len(lengths)} chains of 1-2048 nodes: {shared:.1f} B per node with "
           f"shared positions, {own:.1f} B with ints of their own; the full table {table_bytes / 1e6:.2f} MB")
-    shared_range(simulator.REACH + 1)  # the table at its cap, as after a walk past hop 16 on it
+    shared_range(simulator.REACH + 1)  # the table at its cap, as once a graph of REACH + 1 nodes is built
     for mu, lam in ((0, 25000), (32768, 32769)):
         times = swapped_medians(lambda: _rho_by_position(mu, lam), 20, "_range", (shared_range, own_range))
         print(f"6. _rho_by_position({mu}, {lam}): {times[shared_range] * 1e3:.2f} ms with shared "
@@ -142,18 +142,20 @@ def shared_positions():
 
 
 def receiver_stream():
-    graph = random_functional_graph(3000, 0.0, seed=4)
-    start = max(range(3000), key=lambda node: len(simulate(graph, node).nodes))
     walks = {
         "latency's (0, 32767) walk": (_rho_by_position(0, 32767), 0),
         "a 1000-node chain": (build_chain(1000, seed=1), 0),
         "the walk from node 60000 of a (60000, 20) rho": (_rho_by_position(60000, 20), 60000),
-        "the longest walk on a random 3000-node graph": (graph, start),
     }
-    stream, chase = simulator._receivers, simulator._chase  # one signature, so either serves
+    stream = simulator._stream
     for label, (graph, start) in walks.items():
+        succ = graph.succ
+
+        def chase(ids, last, pos):  # _stream's signature, so either serves
+            return simulator._chase(ids, succ, pos)
+
         hops = len(simulate(graph, start).nodes)
-        times = swapped_medians(lambda: simulate(graph, start), max(1, 100000 // hops), "_receivers",
+        times = swapped_medians(lambda: simulate(graph, start), max(1, 100000 // hops), "_stream",
                                 (stream, chase))
         print(f"7. {label}, {hops} hops: {times[stream] / hops * 1e9:.0f} ns per hop as streamed, "
               f"{times[chase] / hops * 1e9:.0f} ns chased")

@@ -40,13 +40,13 @@ MUTANTS = [
     ("derived tortoise index one hop early", "simulator.py", "yield nodes[p - 1]", "yield nodes[p - 2]"),
     ("detecting power-of-two hop flagged as a snapshot", "simulator.py",
      '("0," if lo == detected else "1,")', '"1,"'),
-    # the receiver stream
-    ("path test compares succ shifted by one", "simulator.py",
-     "succ[lo:-1] == _table(n)", "succ[lo + 1:] == _table(n)"),
-    ("path test skips the cycle's nodes before the start", "simulator.py",
-     "pos < last else last", "pos < last else pos"),
-    ("stream gate refuses the last node", "simulator.py",
-     "gate = succ[pos] == pos + 1 or pos == n - 1", "gate = succ[pos] == pos + 1"),
+    # the receiver stream, for the paths the builders mark
+    ("builder graph left unmarked", "simulator.py",
+     '_set(graph, "_is_path", True)', '_set(graph, "_is_path", False)'),
+    ("explicit-id path left unmarked", "simulator.py",
+     "return _graph(node_ids, succ)", "return FunctionalGraph(node_ids, succ)"),
+    ("constructor's graph marked as a path", "simulator.py",
+     "_is_path = False", "_is_path = True"),
     ("cycle starts one node late", "simulator.py",
      "cycle(_iter_from(ids, last))", "cycle(_iter_from(ids, last + 1))"),
     ("stream starts at the current node", "simulator.py",

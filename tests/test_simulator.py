@@ -11,7 +11,6 @@ import threading
 import tracemalloc
 from itertools import islice
 from pathlib import Path
-from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +331,19 @@ def test_replace_checks_the_graph_again():
     assert type(dataclasses.replace(graph, succ=[1, 2, 0]).succ) is tuple
     with pytest.raises(ValueError, match=r"successor index must be within \[0, 2\], got 3"):
         dataclasses.replace(graph, succ=(1, 2, 3))
+
+
+def test_a_built_graph_is_the_value_its_fields_make():
+    # a builder marks its graph as a path with a private attribute that is no
+    # field: the constructor, equality, hash, repr and asdict do not see it
+    cls, fields, text, _ = CONSTRUCTED["graph"]
+    built, made = build_chain(3, ids=fields["ids"]), cls(**fields)
+    assert built._is_path and not made._is_path
+    assert [field.name for field in dataclasses.fields(built)] == list(inspect.signature(cls).parameters)
+    assert built == made and hash(built) == hash(made) == hash(tuple(fields.values()))
+    assert repr(built) == repr(made) == text
+    assert dataclasses.asdict(built) == dataclasses.asdict(made) == fields
+    assert not dataclasses.replace(built)._is_path  # a value the constructor made
 
 
 def test_simulate_origin_self_loop_detected_at_one():
@@ -700,17 +712,20 @@ def test_chain_cut_to_reach_keeps_the_trace(length, outcome):
 def walks(draw):
     """A random graph of at most 64 nodes, or a rho or chain of at most 300,
     whose walks past hop 16 stream slices of the ids; maybe with a duplicate
-    id, and a start."""
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 64))
-        graph = random_functional_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
-    else:
+    id, in a copy that chases or, on a path, in one marked to stream; and a start."""
+    path = draw(st.booleans())
+    if path:
         n = draw(st.integers(1, 300))
         mu, seed = draw(st.none() | st.integers(0, n - 1)), draw(st.integers(0, 2**32))
         graph = build_chain(n, seed=seed) if mu is None else build_rho(mu, n - mu, seed=seed)
+    else:
+        n = draw(st.integers(1, 64))
+        graph = random_functional_graph(n, draw(st.floats(0, 1)), draw(st.integers(0, 2**32)))
     if n > 1 and draw(st.booleans()):
         a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         graph = inject_duplicate(graph, a, b)
+        if path and draw(st.booleans()):
+            graph = simulator._graph(graph.ids, graph.succ)
     return graph, draw(st.integers(0, n - 1))
 
 
@@ -905,51 +920,50 @@ def test_position_table_grows_safely_under_threads(monkeypatch):
 
 def _reversed(graph):
     """The same graph with node i at position n - 1 - i: each walk meets the
-    same ids hop by hop, but node j points to j - 1, so no walk streams."""
+    same ids hop by hop, but node j points to j - 1, and the constructor
+    makes it, so every walk chases."""
     n = len(graph)
     succ = tuple(None if nxt is None else n - 1 - nxt for nxt in reversed(graph.succ))
     return FunctionalGraph(graph.ids[::-1], succ)
 
 
-def _streams(graph, pos):
-    return not isinstance(simulator._receivers(graph.ids, graph.succ, pos), GeneratorType)
+def _walk_by(source, graph, start=0):
+    """simulate(graph, start) with the receiver source other than ``source``
+    (``_stream`` or ``_chase``) replaced by a raiser; the walk must get past
+    hop 16, where one of them serves it."""
+    other = "_chase" if source == "_stream" else "_stream"
+
+    def refuse(*args):
+        raise AssertionError(f"{other} called from position {args[-1]}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, other, refuse)
+        trace = simulate(graph, start)
+    assert trace.at_hop is None or trace.at_hop > 16
+    return trace
 
 
 def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
+    # the builders mark their paths; a graph from the constructor chases,
+    # whatever its shape, and meets the same ids
     rho, chain = build_rho(20, 30, seed=1), build_chain(40, ids=range(40))
-    assert _streams(rho, 16) and _streams(chain, 16)
-    assert _streams(inject_duplicate(rho, 3, 40), 16)  # the shape, not the ids, decides
-    assert not _streams(_reversed(rho), 16) and not _streams(_reversed(chain), 16)
-    assert _streams(rho, len(rho) - 1) and _streams(chain, len(chain) - 1)  # the last node may point back
-    assert not _streams(random_functional_graph(50, 0.0, seed=3), 16)
-    # past REACH + 1 nodes the test would make fresh ints, so such a path chases
-    assert _streams(build_chain(REACH + 1, seed=1), 16)
-    assert not _streams(build_chain(REACH + 2, seed=1), 16)
-
-
-def test_only_the_nodes_a_walk_meets_decide_its_stream():
+    for graph in (rho, chain):
+        streamed = _walk_by("_stream", graph)
+        for twin in (FunctionalGraph(graph.ids, graph.succ), dataclasses.replace(graph)):
+            assert _walk_by("_chase", twin) == streamed
+    for graph, start in ((_reversed(rho), len(rho) - 1), (_reversed(chain), len(chain) - 1),
+                         (inject_duplicate(rho, 3, 40), 0)):
+        _walk_by("_chase", graph, start)
+    random_graph = random_functional_graph(50, 0.0, seed=3)
+    start = max(range(50), key=lambda node: len(simulate(random_graph, node).nodes))
+    _walk_by("_chase", random_graph, start)
+    # nodes 0..9 point anywhere, but the walk from 25 meets only the path
+    # 25 -> ... -> 39 -> 20, so a stream of it meets what the chase meets
     ids, path = tuple(range(100, 140)), tuple(range(1, 40)) + (20,)
-    # nodes 0..9 point anywhere, but the walk from 25 never meets them
     scrambled = FunctionalGraph(ids, (5, 0, 9, 9, None, 3, 2, 1, 0, 4) + path[10:])
-    assert _streams(scrambled, 25)
-    # the cycle re-enters at 20, below the start, and node 22 breaks the path there
-    broken = FunctionalGraph(ids, path[:22] + (21,) + path[23:])
-    assert not _streams(broken, 25)
-    for graph in (scrambled, broken):
-        streamed = list(islice(simulator._receivers(graph.ids, graph.succ, 25), 200))
-        assert streamed == list(islice(simulator._chase(graph.ids, graph.succ, 25), 200))
-
-
-class _Succ(tuple):
-    """Successors that record how many items each slice of them holds."""
-
-    sliced: list[int] = []
-
-    def __getitem__(self, key):
-        item = tuple.__getitem__(self, key)
-        if isinstance(key, slice):
-            self.sliced.append(len(item))
-        return item
+    assert _walk_by("_chase", scrambled, 25) == _walk_by("_stream", simulator._graph(ids, path), 25)
+    streamed = list(islice(simulator._stream(ids, 20, 25), 200))
+    assert streamed == list(islice(simulator._chase(ids, scrambled.succ, 25), 200))
 
 
 @pytest.mark.parametrize(
@@ -958,41 +972,58 @@ class _Succ(tuple):
     + [(build_rho(mu, 17 - mu, seed=mu), 0) for mu in range(17)],
     ids=["chain-17", "chain-40-from-23", "rho-20-30-from-33", *(f"rho-{mu}-{17 - mu}" for mu in range(17))],
 )
-def test_a_walk_on_the_last_node_at_hop_16_streams(monkeypatch, graph, start):
-    # the last node points back, or to a terminal, so it fails succ[pos] ==
-    # pos + 1; its walk still meets only the path, and streams the cycle
-    def no_chase(ids, succ, pos):
-        raise AssertionError(f"chased from position {pos}")
-
+def test_a_walk_on_the_last_node_at_hop_16_streams(graph, start):
+    # the last node points back, or to a terminal, and the walk still
+    # streams: a builder's path streams from every position
     assert start + 16 == len(graph) - 1
-    monkeypatch.setattr(simulator, "_chase", no_chase)
-    assert _matches_the_oracle(graph, start).at_hop > 16  # it took the stream after hop 16
+    trace = _walk_by("_stream", graph, start)
+    assert trace == _matches_the_oracle(graph, start) and trace.at_hop > 16
 
 
-@pytest.mark.parametrize("mu, lam, start", [(60000, 20, 60000), (60000, 20, 59990), (65000, None, 64980)])
-def test_a_short_walk_near_the_end_of_a_large_path_tests_only_its_nodes(mu, lam, start):
-    graph = build_chain(mu, seed=2) if lam is None else build_rho(mu, lam, seed=2)
-    n = len(graph)
-    _Succ.sliced = []
-    receivers = simulator._receivers(graph.ids, _Succ(graph.succ), start)
-    assert not isinstance(receivers, GeneratorType)
-    assert 0 < max(_Succ.sliced) <= n - min(start, mu) - 1
-    assert list(islice(receivers, 100)) == list(islice(simulator._chase(graph.ids, graph.succ, start), 100))
-    rows, outcome, at_hop = trace_rows_hop_by_hop(graph.ids, graph.succ, start, receive_packet)
-    trace = simulate(graph, start)
-    assert trace.nodes == tuple(row[1] for row in rows)
-    assert (trace.outcome.value, trace.at_hop) == (outcome, at_hop)
+# a walk past hop 16 on a graph from each builder, and the walks that a
+# shape test read at walk time once chased or tested in full: a path longer
+# than REACH + 1, and short walks near the end of a large path
+BUILT_WALKS = {
+    "rho-seeded": (build_rho(20, 30, seed=1), 0),
+    "chain-seeded": (build_chain(40, seed=1), 0),
+    "chain-explicit-ids": (build_chain(40, ids=range(40)), 0),
+    "rho-explicit-ids": (build_rho(5, 29, ids=range(100, 134)), 7),
+    "rho-within-reach": (build_within_reach(100, 70_000, seed=3), 0),
+    "chain-within-reach": (build_within_reach(None, None, 70_000, seed=3), 0),
+    "rho-by-position": (_rho_by_position(0, 32767), 0),
+    "rho-by-position-from-mid-cycle": (_rho_by_position(30, 40), 50),
+    "chain-longer-than-reach": (build_chain(REACH + 2, seed=1), 0),
+    "rho-60000-20-from-60000": (build_rho(60000, 20, seed=2), 60000),
+    "rho-60000-20-from-59990": (build_rho(60000, 20, seed=2), 59990),
+    "chain-65000-from-64980": (build_chain(65000, seed=2), 64980),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_WALKS)
+def test_every_builder_path_streams_and_its_copies_chase_alike(name):
+    graph, start = BUILT_WALKS[name]
+    streamed = _walk_by("_stream", graph, start)
+    assert streamed == _matches_the_oracle(graph, start)
+    assert _walk_by("_chase", FunctionalGraph(graph.ids, graph.succ), start) == streamed
+    # a duplicate of the hop-16 tortoise at the last receiver: a copy with
+    # it chases, and meets what a stream of the same tuples meets
+    nodes = streamed.nodes
+    position = graph.ids.index
+    duplicate = inject_duplicate(graph, position(nodes[15]), position(nodes[-1]))
+    chased = _walk_by("_chase", duplicate, start)
+    assert chased == _walk_by("_stream", simulator._graph(duplicate.ids, duplicate.succ), start)
+    assert chased == _matches_the_oracle(duplicate, start)
 
 
 @pytest.mark.parametrize("mu, lam", [(0, 1), (0, 5), (3, 7), (16, 1), (17, 16), (31, 2)])
 def test_stream_meets_the_ids_a_successor_chase_meets(mu, lam):
     graph, want = build_rho(mu, lam, seed=mu + lam), 3 * (mu + lam) + 2
     for pos in range(mu + lam):
-        streamed = list(islice(simulator._receivers(graph.ids, graph.succ, pos), want))
+        streamed = list(islice(simulator._stream(graph.ids, mu, pos), want))
         assert streamed == list(islice(simulator._chase(graph.ids, graph.succ, pos), want))
     chain = build_chain(mu + lam, seed=mu)
     for pos in range(mu + lam):
-        assert list(simulator._receivers(chain.ids, chain.succ, pos)) == list(chain.ids[pos + 1 :])
+        assert list(simulator._stream(chain.ids, None, pos)) == list(chain.ids[pos + 1 :])
 
 
 @pytest.mark.parametrize("mu", [0, 1, 16, 17, 4095, 4096, 32767, 32768, 32769, 65535])
@@ -1015,7 +1046,12 @@ def test_stream_and_chase_walk_alike_on_chains_across_the_counter(length):
         assert len(streamed.nodes) == min(length - 1 - start, MAX_HOPS)
 
 
-def test_streamed_walks_grow_the_position_table_no_further_than_reach():
-    simulate(build_chain(70_000, seed=5), 0)
-    simulate(random_functional_graph(100_000, 0.0, seed=1), 0)
-    assert len(simulator._positions) <= REACH + 1
+def test_walks_leave_the_position_table_as_they_find_it(monkeypatch):
+    # only the builders grow the table; a walk, streamed or chased, reads none of it
+    graphs = [build_chain(70_000, seed=5), _rho_by_position(0, 32767), random_functional_graph(3000, 0.0, seed=1)]
+    table = tuple(range(10))
+    monkeypatch.setattr(simulator, "_positions", table)
+    for graph in graphs:
+        simulate(graph, 0)
+        simulate(FunctionalGraph(graph.ids, graph.succ), 0)
+    assert simulator._positions is table
