@@ -47,9 +47,10 @@ LATENCY_CSV_HEADER = "mu,lambda,brent_hop,ttl_hop,ratio"
 
 # past n(n-1) > 80 * 2**b, 1 - p < exp(-40) and p rounds to 1.0
 _SATURATION_PAIRS = 80
-# up to this width the sum runs term by term (n < 144): Euler-Maclaurin alone
-# is 1.3e12 ulps off at b = 1, 647 at b = 5 and 5 at b = 6, within 1 from b = 7
-_TERMWISE_MAX_BITS = 8
+# up to this width the sum runs term by term (n <= 64): Euler-Maclaurin alone
+# is 1.3e12 ulps off at b = 1, 647 at b = 5 and 5 at b = 6, within 1 from b = 7,
+# so 6 is the lowest switch that keeps every p within 1 ulp
+_TERMWISE_MAX_BITS = 6
 # (2i - 1, -B_2i / (2i (2i - 1))) for the Bernoulli numbers B_2, B_4, B_6
 _EULER_MACLAURIN = ((1, -1 / 12), (3, 1 / 360), (5, -1 / 1260))
 
@@ -63,8 +64,8 @@ def collision_probability_exact(query: CollisionQuery) -> float:
     - n = 1 gives 0 and n > 2**b gives exactly 1 (pigeonhole).
     - n(n-1) > 80 * 2**b gives 1.0: then 1 - p < exp(-n(n-1) s / 2)
       < exp(-40), less than half an ulp of 1.
-    - b <= 8 sums log1p(-k s) term by term; the cut above leaves n < 144.
-    - Otherwise x = (n-1) s is below 0.4 and the log of the product comes
+    - b <= 6 sums log1p(-k s) term by term; the cuts above leave n <= 64.
+    - Otherwise x = (n-1) s is below 0.79 and the log of the product comes
       in closed form from Euler-Maclaurin (see ``_log_no_dup``).
     """
     n, b = _checked(query)
@@ -83,14 +84,15 @@ def collision_probability_exact(query: CollisionQuery) -> float:
 
 
 def _log_no_dup(m: int, s: float) -> float:
-    """sum_{k=1}^{m} log1p(-k s) for s <= 2**-9 and x = m s < 1/2.
+    """sum_{k=1}^{m} log1p(-k s) for s <= 2**-7 and x = m s < 0.79.
 
     Euler-Maclaurin on f(t) = log1p(-t s) over [0, m]. The integral is
-    -(1/s) sum_{j>=2} x**j / (j (j-1)), a series whose terms at least
-    halve, so it needs no cancelling (1-x) log(1-x) + x. Add the endpoint
-    f(m)/2 and the corrections -B_2i / (2i (2i-1)) s**(2i-1)
-    ((1-x)**-(2i-1) - 1) for i <= 3; the remainder is then below 2**-70
-    of the sum.
+    -(1/s) sum_{j>=2} x**j / (j (j-1)), a series of one sign, so it needs
+    no cancelling (1-x) log(1-x) + x. Add the endpoint f(m)/2 and the
+    corrections -B_2i / (2i (2i-1)) s**(2i-1) ((1-x)**-(2i-1) - 1) for
+    i <= 3; for s <= 2**-8 the remainder is then below 2**-60 of the sum.
+    At s = 2**-7 the series stops at j = 63 and near x = 0.78 the sum is
+    3e-10 of itself off, but there 1 - p < e**-38 and p is within 1 ulp.
     """
     x = m * s
     log_rest = math.log1p(-x)
@@ -99,7 +101,7 @@ def _log_no_dup(m: int, s: float) -> float:
     for j in range(2, 64):
         term = power / (j * (j - 1))
         terms.append(-m * term)
-        # the tail is at most the last term, here 2**-56 of the first
+        # for x < 1/2 the tail is at most the last term, here 2**-56 of the first
         if term <= x * 2.0**-57:
             break
         power *= x

@@ -41,13 +41,15 @@ class _Parser(argparse.ArgumentParser):
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code; usage errors raise SystemExit.
 
+    ``argv`` defaults to ``sys.argv[1:]``. ``_plain`` reads a plain argv;
+    argparse parses any other, so help and every usage error come from it.
     May be called repeatedly in one process: the parser is built once, on
     the first call, and each call parses into a fresh namespace. A library
     ValueError exits 64 after the subcommand's usage line, so handlers do
     not repeat a check the library makes.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain(argv) or _build_parser().parse_args(argv)  # a Namespace is true
     try:
         return args.handler(args)
     except _Failure as exc:
@@ -73,24 +75,25 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", parents=[out],
                            help="forward one packet and print its trace")
-    p_sim.add_argument("--mu", type=int, help="tail length of a rho topology")
-    p_sim.add_argument("--lambda", dest="lam", type=int, help="cycle length of a rho topology")
+    p_col = sub.add_parser("collisions", parents=[out],
+                           help="node-id collision probability grid")
+    p_lat = sub.add_parser("latency", parents=[out],
+                           help="detection hop vs hop-limit baseline")
+    for shaped, required, of in ((p_sim, False, " of a rho topology"), (p_lat, True, "")):
+        shaped.add_argument("--mu", type=int, required=required, help="tail length" + of)
+        shaped.add_argument("--lambda", dest="lam", type=int, required=required,
+                            help="cycle length" + of)
+
     p_sim.add_argument("--chain", type=int, help="loop-free chain of this many nodes")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="node-id seed (default 0)")
     p_sim.set_defaults(handler=_cmd_simulate, parser=p_sim)
 
-    p_col = sub.add_parser("collisions", parents=[out],
-                           help="node-id collision probability grid")
     p_col.add_argument("--bits", type=int, nargs="+", default=analysis.DEFAULT_ID_BITS,
                        help="id widths in bits")
     p_col.add_argument("--lengths", type=int, nargs="+",
                        default=analysis.DEFAULT_PATH_LENGTHS, help="path lengths")
     p_col.set_defaults(handler=_cmd_collisions, parser=p_col)
 
-    p_lat = sub.add_parser("latency", parents=[out],
-                           help="detection hop vs hop-limit baseline")
-    p_lat.add_argument("--mu", type=int, required=True, help="tail length")
-    p_lat.add_argument("--lambda", dest="lam", type=int, required=True, help="cycle length")
     p_lat.add_argument("--ttl", type=int, default=DEFAULT_TTL, help="baseline hop limit")
     p_lat.set_defaults(handler=_cmd_latency, parser=p_lat)
 
@@ -111,6 +114,65 @@ def _build_parser() -> _Parser:
     p_dec.set_defaults(handler=_cmd_header_decode, parser=p_dec)
 
     return parser
+
+
+# README Design 8: a plain argv is read without argparse
+@functools.cache
+def _grammar() -> dict:
+    """{subcommand path: (defaults, {option: action}, positionals, required)}
+    from the parser, for each leaf whose actions are all stores with nargs
+    None (or '+' for an option), no choices and no string default."""
+    grammar = {}
+
+    def walk(parser, path, dests):
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        if [type(a) for a in actions] == [argparse._SubParsersAction]:
+            for name, leaf in actions[0].choices.items():
+                walk(leaf, path + (name,), dests + (actions[0].dest,))
+        elif all(type(a) is argparse._StoreAction and a.choices is None
+                 and a.nargs in (None, "+" if a.option_strings else None)
+                 and not isinstance(a.default, str) for a in actions):
+            defaults = {**dict(zip(dests, path)), **{a.dest: a.default for a in actions},
+                        **parser._defaults}
+            grammar[path] = (defaults, {o: a for a in actions for o in a.option_strings},
+                             [a for a in actions if not a.option_strings],
+                             {a for a in actions if a.required})
+
+    walk(_build_parser(), (), ())
+    return grammar
+
+
+def _plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """parse_args(argv) for a plain argv: a subcommand path, then its exact
+    options, each once and followed by its value(s), and its positionals,
+    no value starting with '-'. None for any other argv, or if a type raises."""
+    grammar = _grammar()
+    path = tuple(argv[:1]) if tuple(argv[:1]) in grammar else tuple(argv[:2])
+    if path not in grammar or not all(isinstance(token, str) for token in argv):
+        return None
+    defaults, options, free, required = grammar[path]
+    args, seen, free, i = argparse.Namespace(), set(), list(free), len(path)
+    vars(args).update(defaults)  # in C, where Namespace(**defaults) loops in Python
+    while i < len(argv):
+        action = options.get(argv[i])
+        if action is not None:
+            i += 1
+        elif free:
+            action = free.pop(0)
+        end = i
+        while action and end < len(argv) and not argv[end].startswith("-") and (
+                end == i or action.nargs):
+            end += 1
+        if end == i or action in seen:
+            return None
+        seen.add(action)
+        try:
+            values = [action.type(text) if action.type else text for text in argv[i:end]]
+        except Exception:  # argparse reports it, or raises it
+            return None
+        setattr(args, action.dest, values if action.nargs else values[0])
+        i = end
+    return args if seen >= required else None
 
 
 def _cmd_simulate(args) -> int:

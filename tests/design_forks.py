@@ -8,12 +8,14 @@ library itself has no switch. Figures are medians of seven timeit repeats.
 """
 
 import itertools
+import os
 import random
 import statistics
+import tempfile
 import timeit
 import tracemalloc
 
-from loopdetect import simulator
+from loopdetect import cli, simulator
 from loopdetect.simulator import (
     FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
     build_chain, build_within_reach, simulate, trace_csv,
@@ -25,15 +27,15 @@ def median_s(call, number):
     return statistics.median(timeit.repeat(call, number=number, repeat=7)) / number
 
 
-def swapped_medians(call, number, name, values):
-    """Seconds per ``call`` with the global ``simulator.<name>`` set to each
-    of ``values``, the values taking turns so that host drift hits them alike."""
-    saved, samples = getattr(simulator, name), {value: [] for value in values}
+def swapped_medians(call, number, name, values, module=simulator):
+    """Seconds per ``call`` with the global ``module.<name>`` set to each of
+    ``values``, the values taking turns so that host drift hits them alike."""
+    saved, samples = getattr(module, name), {value: [] for value in values}
     for _ in range(7):
         for value in values:
-            setattr(simulator, name, value)
+            setattr(module, name, value)
             samples[value].append(timeit.timeit(call, number=number) / number)
-    setattr(simulator, name, saved)
+    setattr(module, name, saved)
     return {value: statistics.median(times) for value, times in samples.items()}
 
 
@@ -161,6 +163,30 @@ def receiver_stream():
               f"{times[chase] / hops * 1e9:.0f} ns chased")
 
 
+def plain_argv():
+    parse, plain = cli._build_parser().parse_args, cli._plain
+
+    def argparse_only(argv):
+        return None
+
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, "out.txt")
+        for label, argv in {
+            "header encode": ["header", "encode", "--tortoise", "0x0123456789abcdef",
+                              "--hops", "513", "--nonce", "0x2a", "--out", out],
+            "header decode": ["header", "decode", "ab" * 30, "--out", out],
+            "simulate": ["simulate", "--mu", "40", "--lambda", "60", "--seed", "7", "--out", out],
+            "collisions": ["collisions", "--bits", "32", "--lengths", "8192", "--out", out],
+        }.items():
+            parses = {"plain": median_s(lambda: plain(argv), 20000),
+                      "argparse": median_s(lambda: parse(argv), 2000)}
+            calls = swapped_medians(lambda: cli.main(argv), 500, "_plain", (plain, argparse_only),
+                                    cli)
+            print(f"8. {label}: one parse {parses['plain'] * 1e6:.1f} us plain, "
+                  f"{parses['argparse'] * 1e6:.1f} us by argparse; the whole main call "
+                  f"{calls[plain] * 1e6:.0f} against {calls[argparse_only] * 1e6:.0f} us")
+
+
 if __name__ == "__main__":
     by_hop_prefix()
     unchecked_builders()
@@ -169,3 +195,4 @@ if __name__ == "__main__":
     position_ids()
     shared_positions()
     receiver_stream()
+    plain_argv()

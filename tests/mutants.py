@@ -52,6 +52,15 @@ MUTANTS = [
     ("stream starts at the current node", "simulator.py",
      "_iter_from(ids, pos + 1)", "_iter_from(ids, pos)"),
     ("short-segment test < to <=", "simulator.py", "if len(segment) < want:", "if len(segment) <= want:"),
+    # the term-wise switch at its lowest value that holds (6)
+    ("term-wise switch 6 to 5", "analysis.py", "_TERMWISE_MAX_BITS = 6", "_TERMWISE_MAX_BITS = 5"),
+    # the plain-argv path
+    ("plain path takes a value starting with '-'", "cli.py",
+     'not argv[end].startswith("-")', "argv[end] not in options"),
+    ("plain path takes a repeated option", "cli.py",
+     "if end == i or action in seen:", "if end == i:"),
+    ("plain path fills a missing required option with its default", "cli.py",
+     "return args if seen >= required else None", "return args"),
 ]
 
 

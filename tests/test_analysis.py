@@ -85,7 +85,7 @@ def test_exact_relative_error_across_branches(bits):
 @pytest.mark.parametrize("bits", range(1, 11))
 def test_exact_is_within_one_ulp_at_every_length_up_to_the_saturation_cut(bits):
     # every n from 1 to the first saturated one, on both sides of the
-    # term-wise switch at b = 8: Euler-Maclaurin alone is 5 ulps off at
+    # term-wise switch at b = 6: Euler-Maclaurin alone is 5 ulps off at
     # b = 6 and more below it. The product of (2**b - k) / 2**b grows by
     # one factor per n instead of the oracle's O(n) rebuild.
     space, cut = 1 << bits, min(_saturation_cut(bits), (1 << bits) + 1)

@@ -1,9 +1,15 @@
+import argparse
 import hashlib
+import importlib.util
 import random
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopdetect import MAX_HOPS, CycleStructure, analysis, cli, simulator
 from loopdetect.cli import main
@@ -524,3 +530,196 @@ def test_cost_is_bounded_by_the_hop_counter_not_the_topology(tmp_path, capsys, c
         lines = target.read_text().splitlines()
         assert len(lines) == simulator.REACH
         assert lines[-1].endswith(",hop_overflow")
+
+
+# -- the plain-argv path (README Design 8) ------------------------------------
+
+
+def parse_args(argv):
+    return vars(cli._build_parser().parse_args(argv))
+
+
+def test_every_subcommand_has_a_plain_path():
+    assert set(cli._grammar()) == {
+        ("simulate",), ("collisions",), ("latency",), ("header", "encode"), ("header", "decode"),
+    }
+
+
+def test_a_leaf_with_an_unmodelled_action_is_left_to_argparse(monkeypatch):
+    def toy_parser():
+        parser = argparse.ArgumentParser()
+        sub = parser.add_subparsers(dest="command")
+        sub.add_parser("plain").add_argument("--n", type=int, nargs="+", default=(1,))
+        sub.add_parser("flag").add_argument("--on", action="store_true")
+        sub.add_parser("choice").add_argument("--n", type=int, choices=[1, 2])
+        sub.add_parser("text").add_argument("--n", type=int, default="1")
+        sub.add_parser("many").add_argument("n", nargs="+")
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", toy_parser)
+    cli._grammar.cache_clear()
+    try:
+        assert set(cli._grammar()) == {("plain",)}
+    finally:
+        cli._grammar.cache_clear()
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_benchmark_argv_is_plain_and_parses_as_argparse_does(tmp_path, seed):
+    workloads = load_bench_workloads()
+    ops = workloads.build_cli(random.Random(seed), 700, str(tmp_path))
+    assert {op.kind for op in ops} == set(workloads.CLI_OP_MS)
+    for op in ops:
+        args = cli._plain(op.argv)
+        assert args is not None, op.argv
+        assert vars(args) == parse_args(op.argv), op.argv
+
+
+# argparse takes each of these: help, an abbreviation, an =-joined value, a
+# value starting with '-', a repeat, a missing option or positional, `--`,
+# an unknown token and a value its type refuses
+DECLINED = [
+    ["simulate", "--help"],
+    ["header", "encode", "-h"],
+    ["header", "--help"],
+    ["--help"],
+    ["latency", "--lam", "3", "--mu", "0"],
+    ["simulate", "--mu=3", "--lambda", "2"],
+    ["simulate", "--mu", "-1", "--lambda", "2"],
+    ["simulate", "--seed", "1", "--chain", "3", "--seed", "2"],
+    ["collisions", "--bits", "24", "-1"],
+    ["latency", "--mu", "2"],
+    ["header", "decode"],
+    ["header", "decode", "aa", "bb"],
+    ["simulate", "--", "--chain", "3"],
+    ["simulate", "--chain"],
+    ["simulate", "--chain", "3", "--max-hops", "2"],
+    ["simulate", "--chain", "1e5"],
+    ["header", "encode", "--hops", "0x1g"],
+    ["header"],
+    ["nonsense"],
+    [],
+]
+
+# each subcommand, taken and refused, with and without --out (OUT)
+PLAIN = [
+    ["simulate", "--mu", "0", "--lambda", "3", "--seed", "1"],
+    ["simulate", "--chain", "5", "--out", "OUT"],
+    ["simulate", "--out", "OUT", "--seed", "7", "--lambda", "4", "--mu", "2"],
+    ["simulate", "--chain", "0"],
+    ["simulate", "--chain", "3", "--mu", "1", "--lambda", "2"],
+    ["simulate", "--mu", "0", "--lambda", "32768", "--out", "OUT"],
+    ["collisions"],
+    ["collisions", "--bits", "32", "24", "--lengths", "8192", "16", "--out", "OUT"],
+    ["collisions", "--bits", "129"],
+    ["latency", "--mu", "3", "--lambda", "5"],
+    ["latency", "--mu", "0", "--lambda", "40000", "--out", "OUT"],
+    ["latency", "--mu", "1", "--lambda", "1", "--ttl", "0", "--out", "OUT"],
+    ["header", "encode"],
+    ["header", "encode", "--tortoise", "0x0a0b", "--hops", "513", "--nonce", "42", "--out", "OUT"],
+    ["header", "encode", "--hops", "70000"],
+    ["header", "encode", "--out", "a\x00b"],
+    ["header", "encode", "--out", ""],
+    ["header", "decode", "00" * 14],
+    ["header", "decode", "--out", "OUT", "ff" * 20],
+    ["header", "decode", "0102", "--out", "OUT"],
+    ["header", "decode", "zz"],
+]
+
+
+def outcome(capsys, tmp_path, argv):
+    """Exit code, stdout, stderr and --out bytes of one main call."""
+    target = tmp_path / "out.txt"
+    if argv is not None:
+        argv = [str(target) if token == "OUT" else token for token in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = target.read_bytes() if target.exists() else None
+    target.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_other_argv_is_left_to_argparse(argv):
+    assert cli._plain(argv) is None
+
+
+@pytest.mark.parametrize("argv", PLAIN)
+def test_plain_argv_parses_as_argparse_does(argv):
+    args = cli._plain(argv)
+    assert args is not None
+    assert vars(args) == parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", PLAIN + DECLINED)
+def test_main_gives_what_argparse_alone_gives(tmp_path, monkeypatch, capsys, argv):
+    fast = outcome(capsys, tmp_path, argv)
+    monkeypatch.setattr(cli, "_plain", lambda argv: None)
+    assert fast == outcome(capsys, tmp_path, argv)
+
+
+@pytest.mark.parametrize("argv", [PLAIN[13], DECLINED[4], ["header", "encode", "--hops=3"]])
+def test_main_reads_sys_argv_when_given_none(tmp_path, monkeypatch, capsys, argv):
+    given = outcome(capsys, tmp_path, argv)
+    target = str(tmp_path / "out.txt")
+    monkeypatch.setattr(sys, "argv", ["loopdetect"] + [target if t == "OUT" else t for t in argv])
+    assert outcome(capsys, tmp_path, None) == given
+
+
+# the property mixes plain items, a leaf's own options with numbers, with
+# anything else: other options, abbreviations, =-joined names, help, `--`,
+# words of the subcommand paths, and hex, negative, empty and junk values
+PATHS = [["simulate"], ["latency"], ["collisions"], ["header", "encode"], ["header", "decode"],
+         [], ["header"], ["nonsense"]]
+LEAF_OPTIONS = {
+    "simulate": ["--mu", "--lambda", "--chain", "--seed", "--out"],
+    "latency": ["--mu", "--lambda", "--ttl", "--out"],
+    "collisions": ["--bits", "--lengths", "--out"],
+    "encode": ["--tortoise", "--hops", "--nonce", "--out"],
+    "decode": ["--out", None],  # None: the positional
+}
+OPTION_TOKENS = [
+    *{option for options in LEAF_OPTIONS.values() for option in options},
+    "--lam", "--len", "--tort", "--o", "--mu=3", "--out=x", "-h", "--help", "--", "encode", "-",
+]
+VALUE_TOKENS = ["0", "3", "0x1f", "0b11", "-1", "-0x1f", "", "zz", "1e5", " 3", "decode", "--mu"]
+
+
+NUMBERS = ["0", "3", "17", "255"]
+
+
+@st.composite
+def plain_or_not(draw):
+    """A subcommand path, some of its options (at most once each) with
+    numbers, and up to two other tokens with values, put in anywhere."""
+    path = draw(st.sampled_from(PATHS))
+    options = LEAF_OPTIONS.get(path[-1] if path else None, [])
+    argv = list(path)
+    for name in draw(st.permutations(options))[:draw(st.integers(0, len(options)))]:
+        count = draw(st.integers(1, 3)) if name in ("--bits", "--lengths") else 1
+        argv += [name] * (name is not None) + draw(st.lists(st.sampled_from(NUMBERS),
+                                                            min_size=count, max_size=count))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(len(path), len(argv)))
+        argv[at:at] = [draw(st.sampled_from(OPTION_TOKENS)),
+                       *draw(st.lists(st.sampled_from(VALUE_TOKENS), max_size=3))]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(plain_or_not())
+def test_what_the_plain_path_takes_argparse_parses_alike(argv):
+    args = cli._plain(argv)
+    if args is not None:
+        assert vars(args) == parse_args(argv)
