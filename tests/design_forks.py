@@ -15,7 +15,7 @@ import tempfile
 import timeit
 import tracemalloc
 
-from loopdetect import cli, simulator
+from loopdetect import analysis, cli, simulator
 from loopdetect.simulator import (
     FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
     build_chain, build_within_reach, simulate, trace_csv,
@@ -187,6 +187,37 @@ def plain_argv():
                   f"{calls[plain] * 1e6:.0f} against {calls[argparse_only] * 1e6:.0f} us")
 
 
+def direct_write():
+    def open_write(out, text):  # _emit's --out branch before Design 9
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    emit = cli._emit
+    with tempfile.TemporaryDirectory() as scratch:
+        out = os.path.join(scratch, "out.txt")
+
+        def fresh(call):  # each write creates its file, as each cli_tables op does
+            def write_and_remove():
+                call()
+                os.unlink(out)
+            return write_and_remove
+
+        for label, text in {
+            "a header line": "0" * 28 + "\n",
+            "a 100-hop trace": trace_csv(simulate(build_chain(100, seed=1), 0)),
+            "the default collision table": analysis.collision_csv(analysis.collision_table(
+                analysis.DEFAULT_ID_BITS, analysis.DEFAULT_PATH_LENGTHS)),
+        }.items():
+            times = swapped_medians(fresh(lambda: cli._emit(out, text)), 2000, "_emit",
+                                    (emit, open_write), cli)
+            print(f"9. {label} ({len(text)} B) to a fresh file: {times[emit] * 1e6:.1f} us by "
+                  f"three syscalls, {times[open_write] * 1e6:.1f} us by open(); unlink included")
+        argv = ["header", "encode", "--hops", "513", "--out", out]
+        calls = swapped_medians(fresh(lambda: cli.main(argv)), 2000, "_emit", (emit, open_write), cli)
+        print(f"9. the whole in-process header encode call: {calls[emit] * 1e6:.1f} against "
+              f"{calls[open_write] * 1e6:.1f} us")
+
+
 if __name__ == "__main__":
     by_hop_prefix()
     unchecked_builders()
@@ -196,3 +227,4 @@ if __name__ == "__main__":
     shared_positions()
     receiver_stream()
     plain_argv()
+    direct_write()

@@ -61,6 +61,14 @@ MUTANTS = [
      "if end == i or action in seen:", "if end == i:"),
     ("plain path fills a missing required option with its default", "cli.py",
      "return args if seen >= required else None", "return args"),
+    # --out by three syscalls
+    ("--out opened without O_TRUNC", "cli.py",
+     "os.O_WRONLY | os.O_CREAT | os.O_TRUNC", "os.O_WRONLY | os.O_CREAT"),
+    ("one os.write with no loop", "cli.py", "while data:", "if data:"),
+    # the closed form's series and corrections, at b = 7
+    ("series cap back at 64", "analysis.py", "for j in range(2, 200):", "for j in range(2, 64):"),
+    ("Euler-Maclaurin without its B_6 pair", "analysis.py",
+     "(3, 1 / 360), (5, -1 / 1260))", "(3, 1 / 360))"),
 ]
 
 

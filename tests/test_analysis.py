@@ -13,6 +13,7 @@ from loopdetect import (
     FunctionalGraph,
     HopOverflow,
     Outcome,
+    analysis,
     collision_csv,
     collision_probability_approx,
     collision_probability_exact,
@@ -96,6 +97,18 @@ def test_exact_is_within_one_ulp_at_every_length_up_to_the_saturation_cut(bits):
         assert abs(got - want) <= math.ulp(want), (length, got, want)
         no_dup *= Fraction(space - length, space)
     assert 1 - no_dup == exact_collision_fraction(cut + 1, bits)
+
+
+@pytest.mark.parametrize("bits", [7, 8])
+def test_closed_form_log_is_the_term_by_term_sum_up_to_the_saturation_cut(bits):
+    # b = 7 takes the closed form's widest x, (n - 1) / 128 up to 0.78: its
+    # series must run to its break test there (past j = 124), and the
+    # Euler-Maclaurin remainder stays below 1e-15 of the log
+    scale = math.ldexp(1.0, -bits)
+    for length in range(2, _saturation_cut(bits)):
+        want = math.fsum(math.log1p(-k * scale) for k in range(1, length))
+        got = analysis._log_no_dup(length - 1, scale)
+        assert abs(got - want) <= 1e-15 * abs(want), (length, got, want)
 
 
 @pytest.mark.parametrize("bits", [24, 32, 48, 64, 128])

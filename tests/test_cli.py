@@ -1,7 +1,10 @@
 import argparse
+import errno
 import hashlib
 import importlib.util
+import os
 import random
+import stat
 import sys
 import time
 import tracemalloc
@@ -460,6 +463,94 @@ def test_unwritable_out_exits_73(tmp_path, capsys, argv, target, reason):
     assert out == ""
     assert err == f"loopdetect: cannot write {path}: {reason}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# -- --out by three syscalls (README Design 9) ---------------------------------
+
+
+def test_out_truncates_a_longer_file(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"x" * 4096)
+    code, out, _ = run(capsys, "header", "encode", "--hops", "513", "--out", str(target))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == b"0000000000000000020100000000\n"
+
+
+def test_out_is_complete_when_each_write_takes_few_bytes(tmp_path, monkeypatch, capsys):
+    want = run(capsys, "simulate", "--mu", "3", "--lambda", "5")[1].encode()
+    write = cli.os.write
+    taken = []
+
+    def short_write(fd, data):
+        taken.append(write(fd, data[:7]))
+        return taken[-1]
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    target = tmp_path / "trace.csv"
+    code = main(["simulate", "--mu", "3", "--lambda", "5", "--out", str(target)])
+    monkeypatch.undo()
+    assert code == 0
+    assert target.read_bytes() == want
+    assert len(taken) == -(-len(want) // 7)
+
+
+def test_a_failed_write_exits_73_and_closes_its_fd(tmp_path, monkeypatch, capsys):
+    real_open, real_write, real_close = cli.os.open, cli.os.write, cli.os.close
+    opened, closed = [], []
+
+    def recorded_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    def full_disk(fd, data):
+        if fd in opened:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+
+    def recorded_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(cli.os, "open", recorded_open)
+    monkeypatch.setattr(cli.os, "write", full_disk)
+    monkeypatch.setattr(cli.os, "close", recorded_close)
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "header", "encode", "--out", str(target))
+    monkeypatch.undo()
+    assert (code, out) == (73, "")
+    assert err == f"loopdetect: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+    assert len(opened) == 1
+    assert closed == opened
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+def test_out_file_mode_is_0o666_under_the_umask(tmp_path, capsys, umask):
+    target = tmp_path / "out.txt"
+    saved = os.umask(umask)
+    try:
+        code = main(["header", "encode", "--out", str(target)])
+    finally:
+        os.umask(saved)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mu", "3", "--lambda", "5", "--seed", "2"],
+        ["collisions", "--bits", "24", "--lengths", "16"],
+        ["latency", "--mu", "2", "--lambda", "4"],
+        ["header", "encode", "--hops", "513"],
+        ["header", "decode", "0102030405060708090a0b0c0d0e"],
+    ],
+)
+def test_out_holds_the_stdout_text_as_utf8(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == text.encode("utf-8")
 
 
 def test_roundtrip_encode_decode_via_cli(capsys):
