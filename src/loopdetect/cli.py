@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analysis, codec, simulator
-from .core import HopOverflow, LoopHeader
+from .core import HopOverflow
 from .reference import CycleStructure
 
 EX_OK = 0
@@ -120,9 +120,10 @@ def _build_parser() -> _Parser:
 # README Design 8: a plain argv is read without argparse
 @functools.cache
 def _grammar() -> dict:
-    """{subcommand path: (defaults, {option: action}, positionals, required)}
-    from the parser, for each leaf whose actions are all stores with nargs
-    None (or '+' for an option), no choices and no string default."""
+    """{subcommand path: (defaults, {option: spec}, [positional spec],
+    {required dest})} from the parser, for each leaf whose actions are all
+    stores with nargs None (or '+' for an option), no choices and no string
+    default. A spec is (dest, type or str, takes several values)."""
     grammar = {}
 
     def walk(parser, path, dests):
@@ -135,9 +136,10 @@ def _grammar() -> dict:
                  and not isinstance(a.default, str) for a in actions):
             defaults = {**dict(zip(dests, path)), **{a.dest: a.default for a in actions},
                         **parser._defaults}
-            grammar[path] = (defaults, {o: a for a in actions for o in a.option_strings},
-                             [a for a in actions if not a.option_strings],
-                             {a for a in actions if a.required})
+            spec = {a: (a.dest, a.type or str, a.nargs == "+") for a in actions}
+            grammar[path] = (defaults, {o: spec[a] for a in actions for o in a.option_strings},
+                             [spec[a] for a in actions if not a.option_strings],
+                             {a.dest for a in actions if a.required})
 
     walk(_build_parser(), (), ())
     return grammar
@@ -149,31 +151,28 @@ def _plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     no value starting with '-'. None for any other argv, or if a type raises."""
     grammar = _grammar()
     path = tuple(argv[:1]) if tuple(argv[:1]) in grammar else tuple(argv[:2])
-    if path not in grammar or not all(isinstance(token, str) for token in argv):
+    try:  # an unknown path, a token that is not a str, a missing value or a refused one
+        defaults, options, free, required = grammar[path]
+        values, given, free, i, n = dict(defaults), set(), iter(free), len(path), len(argv)
+        while i < n:
+            if argv[i] in options:
+                dest, kind, several = options[argv[i]]
+                i += 1
+            else:
+                dest, kind, several = next(free)
+            end = i + 1
+            while several and end < n and not argv[end].startswith("-"):
+                end += 1
+            if dest in given or argv[i].startswith("-"):
+                return None
+            given.add(dest)
+            values[dest] = [kind(text) for text in argv[i:end]] if several else kind(argv[i])
+            i = end
+    except Exception:  # argparse reports it, or raises it
         return None
-    defaults, options, free, required = grammar[path]
-    args, seen, free, i = argparse.Namespace(), set(), list(free), len(path)
-    vars(args).update(defaults)  # in C, where Namespace(**defaults) loops in Python
-    while i < len(argv):
-        action = options.get(argv[i])
-        if action is not None:
-            i += 1
-        elif free:
-            action = free.pop(0)
-        end = i
-        while action and end < len(argv) and not argv[end].startswith("-") and (
-                end == i or action.nargs):
-            end += 1
-        if end == i or action in seen:
-            return None
-        seen.add(action)
-        try:
-            values = [action.type(text) if action.type else text for text in argv[i:end]]
-        except Exception:  # argparse reports it, or raises it
-            return None
-        setattr(args, action.dest, values if action.nargs else values[0])
-        i = end
-    return args if seen >= required else None
+    args = argparse.Namespace()
+    args.__dict__ = values
+    return args if given >= required else None
 
 
 def _cmd_simulate(args) -> int:
@@ -215,7 +214,7 @@ def _cmd_latency(args) -> int:
 
 
 def _cmd_header_encode(args) -> int:
-    wire = codec.encode(LoopHeader(args.tortoise, args.hops), args.nonce)
+    wire = codec.encode((args.tortoise, args.hops), args.nonce)
     _emit(args.out, wire.hex() + "\n")
     return EX_OK
 

@@ -163,6 +163,16 @@ def receiver_stream():
               f"{times[chase] / hops * 1e9:.0f} ns chased")
 
 
+def fresh(call, out):
+    """``call``, then the removal of the file it wrote at ``out``, so that
+    each call creates its file, as each cli_tables op does; rewriting a
+    file that holds data adds the cost of truncating it."""
+    def write_and_remove():
+        call()
+        os.unlink(out)
+    return write_and_remove
+
+
 def plain_argv():
     parse, plain = cli._build_parser().parse_args, cli._plain
 
@@ -180,11 +190,11 @@ def plain_argv():
         }.items():
             parses = {"plain": median_s(lambda: plain(argv), 20000),
                       "argparse": median_s(lambda: parse(argv), 2000)}
-            calls = swapped_medians(lambda: cli.main(argv), 500, "_plain", (plain, argparse_only),
-                                    cli)
+            calls = swapped_medians(fresh(lambda: cli.main(argv), out), 500, "_plain",
+                                    (plain, argparse_only), cli)
             print(f"8. {label}: one parse {parses['plain'] * 1e6:.1f} us plain, "
-                  f"{parses['argparse'] * 1e6:.1f} us by argparse; the whole main call "
-                  f"{calls[plain] * 1e6:.0f} against {calls[argparse_only] * 1e6:.0f} us")
+                  f"{parses['argparse'] * 1e6:.1f} us by argparse; the whole main call to a "
+                  f"fresh file {calls[plain] * 1e6:.0f} against {calls[argparse_only] * 1e6:.0f} us")
 
 
 def direct_write():
@@ -195,25 +205,19 @@ def direct_write():
     emit = cli._emit
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "out.txt")
-
-        def fresh(call):  # each write creates its file, as each cli_tables op does
-            def write_and_remove():
-                call()
-                os.unlink(out)
-            return write_and_remove
-
         for label, text in {
             "a header line": "0" * 28 + "\n",
             "a 100-hop trace": trace_csv(simulate(build_chain(100, seed=1), 0)),
             "the default collision table": analysis.collision_csv(analysis.collision_table(
                 analysis.DEFAULT_ID_BITS, analysis.DEFAULT_PATH_LENGTHS)),
         }.items():
-            times = swapped_medians(fresh(lambda: cli._emit(out, text)), 2000, "_emit",
+            times = swapped_medians(fresh(lambda: cli._emit(out, text), out), 2000, "_emit",
                                     (emit, open_write), cli)
             print(f"9. {label} ({len(text)} B) to a fresh file: {times[emit] * 1e6:.1f} us by "
                   f"three syscalls, {times[open_write] * 1e6:.1f} us by open(); unlink included")
         argv = ["header", "encode", "--hops", "513", "--out", out]
-        calls = swapped_medians(fresh(lambda: cli.main(argv)), 2000, "_emit", (emit, open_write), cli)
+        calls = swapped_medians(fresh(lambda: cli.main(argv), out), 2000, "_emit", (emit, open_write),
+                                cli)
         print(f"9. the whole in-process header encode call: {calls[emit] * 1e6:.1f} against "
               f"{calls[open_write] * 1e6:.1f} us")
 

@@ -54,13 +54,14 @@ MUTANTS = [
     ("short-segment test < to <=", "simulator.py", "if len(segment) < want:", "if len(segment) <= want:"),
     # the term-wise switch at its lowest value that holds (6)
     ("term-wise switch 6 to 5", "analysis.py", "_TERMWISE_MAX_BITS = 6", "_TERMWISE_MAX_BITS = 5"),
-    # the plain-argv path
+    # the plain-argv path and its compiled table
     ("plain path takes a value starting with '-'", "cli.py",
-     'not argv[end].startswith("-")', "argv[end] not in options"),
-    ("plain path takes a repeated option", "cli.py",
-     "if end == i or action in seen:", "if end == i:"),
+     'or argv[i].startswith("-"):', "or argv[i] in options:"),
+    ("plain path takes a repeated option", "cli.py", "if dest in given or ", "if "),
     ("plain path fills a missing required option with its default", "cli.py",
-     "return args if seen >= required else None", "return args"),
+     "return args if given >= required else None", "return args"),
+    ("table keeps each value as text", "cli.py",
+     '(a.dest, a.type or str, a.nargs == "+")', '(a.dest, str, a.nargs == "+")'),
     # --out by three syscalls
     ("--out opened without O_TRUNC", "cli.py",
      "os.O_WRONLY | os.O_CREAT | os.O_TRUNC", "os.O_WRONLY | os.O_CREAT"),
@@ -69,6 +70,23 @@ MUTANTS = [
     ("series cap back at 64", "analysis.py", "for j in range(2, 200):", "for j in range(2, 64):"),
     ("Euler-Maclaurin without its B_6 pair", "analysis.py",
      "(3, 1 / 360), (5, -1 / 1260))", "(3, 1 / 360))"),
+    # round 2: a mutant in each module that had none
+    ("_advance ignores the saturated counter", "core.py",
+     "if hops < MAX_HOPS and tortoise in receivers:", "if tortoise in receivers:"),
+    ("Brent's schedule x3", "reference.py", "power *= 2", "power *= 3"),
+    ("Floyd's hare moves every other step", "reference.py", "if step % 3:", "if step % 2:"),
+    ("series stops at 2**-30", "analysis.py",
+     "if term <= x * 2.0**-57:", "if term <= x * 2.0**-30:"),
+    ("id draw dedups in set order", "simulator.py",
+     "ids = tuple(dict.fromkeys(ids))", "ids = tuple(set(ids))"),
+    ("digest hashes the payload first", "vid.py",
+     "_pack_nonce(nonce) + payload", "payload + _pack_nonce(nonce)"),
+    ("forward drops the body", "codec.py", "encode(fields, nonce) + body", "encode(fields, nonce)"),
+    ("latency ratio inverted", "analysis.py", "ttl / brent_hop", "brent_hop / ttl"),
+    ("visited-set entry one step late", "reference.py",
+     "first_seen[elem] = step", "first_seen[elem] = step + 1"),
+    ("self-looping origin fires at hop 2", "reference.py",
+     "if mu == 0 and lam == 1:\n        return 1", "if mu == 0 and lam == 1:\n        return 2"),
 ]
 
 

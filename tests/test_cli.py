@@ -746,6 +746,21 @@ def test_other_argv_is_left_to_argparse(argv):
     assert cli._plain(argv) is None
 
 
+# no pass checks the tokens' types first: a token that is not a str raises
+# inside the loop, and the argv goes to argparse. X marks the token's place,
+# and the str beside each argv is a token that makes it plain there
+@pytest.mark.parametrize("token", [513, b"513", None])
+@pytest.mark.parametrize("argv, text", [
+    (["header", "encode", "--nonce", "1", "X", "513"], "--hops"),  # an option
+    (["header", "encode", "--nonce", "1", "--hops", "X"], "513"),  # a value
+    (["collisions", "--bits", "24", "X", "--lengths", "16"], "32"),  # a further value
+    (["header", "decode", "X", "--out", "OUT"], "00" * 14),  # the positional
+])
+def test_a_token_that_is_not_a_str_is_left_to_argparse(argv, text, token):
+    assert cli._plain([text if t == "X" else t for t in argv]) is not None
+    assert cli._plain([token if t == "X" else t for t in argv]) is None
+
+
 @pytest.mark.parametrize("argv", PLAIN)
 def test_plain_argv_parses_as_argparse_does(argv):
     args = cli._plain(argv)
