@@ -50,7 +50,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     not repeat a check the library makes.
     """
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain(argv) or _build_parser().parse_args(argv)  # a Namespace is true
+    args = _plain(argv)
+    if args is None:  # a shell's argv is text; only an in-process caller's may not be
+        for i, token in enumerate(argv):
+            if not isinstance(token, str):
+                _build_parser().error(f"argv[{i}] must be a str, got {type(token).__name__}")
+        args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except _Failure as exc:

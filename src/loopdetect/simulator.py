@@ -7,11 +7,11 @@ core's one transition kernel on plain (tortoise, hops) fields, and the
 trace is one column, the receiver per hop, plus the origin; the tortoise
 each hop leaves with is derived from them. Runs are synchronous and
 single-packet; queuing, loss, and reordering do not affect what is being
-checked here. Each run owns its
-graph and trace, so independent runs may execute in parallel; they share
-only immutable tables of CSV hop cells and of position ints. How a walk
-runs, why the builders skip the graph's check and mark their paths, and how
-the tortoise is derived: README, Design 1, 2, 3 and 7.
+checked here. Each run owns its graph and trace, so independent runs may
+execute in parallel; they share only immutable tables of CSV cells and of
+position ints. How a walk runs, why the builders skip the graph's check and
+mark their paths, and how the tortoise is derived: README, Design 1, 2, 3
+and 7.
 """
 
 import functools
@@ -19,7 +19,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, count, cycle, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import ne
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -44,7 +44,7 @@ class FunctionalGraph:
 
     ids: tuple[int, ...]
     succ: tuple[Optional[int], ...]
-    _is_path = False  # not a field: set only by _graph, so simulate streams (README, Design 7)
+    _is_path = False  # not a field: set only by _graph, so simulate slices ids (README, Design 7)
 
     def __init__(self, ids: Sequence[int], succ: Sequence[Optional[int]]):
         ids, succ = _items("ids", ids), _items("succ", succ)
@@ -242,7 +242,7 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
     hop counter overflows, which bounds every walk to MAX_HOPS + 1 hops.
 
     Every end is an outcome, never raised; the walk goes by hop, then by
-    segment, from one stream of receivers (README, Design 1 and 7).
+    segment, each segment's receivers taken at once (README, Design 1 and 7).
     ``start`` must be an int in [0, n).
     """
     ids = graph.ids
@@ -269,11 +269,14 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                 return SimTrace(tuple(nodes), origin, _DETECTED, hops + 1)
             tortoise, hops = fields
         if pos is not None:
-            receivers = _stream(ids, succ[-1], pos) if graph._is_path else _chase(ids, succ, pos)
+            last, receivers = succ[-1], None if graph._is_path else _chase(ids, succ, pos)
             while True:
                 # one receiver at a saturated counter: a terminal there ends the walk first
                 want = _segment_end(hops) - hops
-                segment = list(islice(receivers, want))
+                if receivers is None:
+                    segment, pos = _take(ids, last, pos, want)
+                else:
+                    segment = list(islice(receivers, want))
                 if segment:
                     fields = advance(tortoise, hops, segment)
                     if fields is None:
@@ -282,27 +285,23 @@ def simulate(graph: FunctionalGraph, start: int) -> SimTrace:
                         return SimTrace(tuple(nodes), origin, _DETECTED, hops + found)
                     nodes += segment
                     tortoise, hops = fields
-                if len(segment) < want:  # the stream reached a terminal
+                if len(segment) < want:  # a terminal ended the receivers
                     break
         return SimTrace(tuple(nodes), origin, _TERMINATED, hops + 1)
     except HopOverflow:
         return SimTrace(tuple(nodes), origin, _HOP_OVERFLOW, None)
 
 
-def _stream(ids: tuple[int, ...], last: Optional[int], pos: int) -> Iterator[int]:
-    """The ids a walk on a path, node i -> i + 1 and the last node -> ``last``,
-    meets after position ``pos``, in order: slices of ``ids`` (README, Design 7)."""
-    stream = _iter_from(ids, pos + 1)
-    return stream if last is None else chain(stream, cycle(_iter_from(ids, last)))
-
-
-def _iter_from(ids: tuple[int, ...], index: int) -> Iterator[int]:
-    """iter(ids[index:]) with no copy: the pickle protocol's __setstate__
-    sets a tuple iterator's index in O(1), where islice would step past
-    the first ``index`` items one by one."""
-    items = iter(ids)
-    items.__setstate__(index)
-    return items
+def _take(ids: tuple[int, ...], last: Optional[int], pos: int, want: int) -> tuple[tuple, int]:
+    """The next ``want`` ids after position ``pos`` on a path (node i -> i + 1,
+    the last node -> ``last``) as one tuple of slices of ``ids``, and the
+    position they end at; fewer only at a terminal (README, Design 7)."""
+    segment = ids[pos + 1 : pos + 1 + want]
+    if len(segment) == want or last is None:
+        return segment, pos + want
+    laps, rest = divmod(want - len(segment), len(ids) - last)
+    segment += ids[last:] * laps if laps else ()  # the cycle is copied only for whole laps
+    return segment + ids[last : last + rest], last + rest - 1
 
 
 def _chase(ids, succ, pos: int) -> Iterator[int]:
@@ -322,15 +321,18 @@ def trace_csv(trace: SimTrace) -> str:
     nodes = trace.nodes
     detected = trace.at_hop if trace.outcome is _DETECTED else None
     blocks = [_csv_block(nodes, detected, first) for first in range(0, len(nodes), _CSV_BLOCK)]
+    at_hop = "" if trace.at_hop is None else f"({trace.at_hop})"
     # no hops: the outcome sits on a row of empty cells
-    return "".join([TRACE_CSV_HEADER, *(blocks or ["\n,,,,"]), _outcome_label(trace), "\n"])
+    return "".join([TRACE_CSV_HEADER, *(blocks or ["\n,,,,"]), trace.outcome.value, at_hop, "\n"])
 
 
 @functools.lru_cache(maxsize=MAX_HOPS // _CSV_BLOCK + 1)
-def _hop_labels(first: int) -> tuple[str, ...]:
-    """The "\\n<hop>," cells of rows first + 1 .. first + _CSV_BLOCK, shared
-    by every trace (README, Design 3)."""
-    return tuple(map("\n{},".format, range(first + 1, first + _CSV_BLOCK + 1)))
+def _hop_labels(first: int) -> list[str]:
+    """The cells of rows first + 1 .. first + _CSV_BLOCK, shared by every
+    trace: each row's "\\n<hop>," cell, then two empty ones for its node and
+    suffix. Callers copy it and never change it (README, Design 3)."""
+    hops = range(first + 1, first + _CSV_BLOCK + 1)
+    return [cell for hop in hops for cell in ("\n%d," % hop, "", "")]
 
 
 def _csv_block(nodes, detected: Optional[int], first: int) -> str:
@@ -338,7 +340,7 @@ def _csv_block(nodes, detected: Optional[int], first: int) -> str:
     newline, as one text built column by column, with no text made per row.
     ``detected`` is the detecting hop, or None."""
     last = min(first + _CSV_BLOCK, len(nodes))
-    node_hex = struct.pack(f">{last - first}Q", *nodes[first:last]).hex(",", 8).split(",")
+    node_hex = struct.Struct(f">{last - first}Q").pack(*nodes[first:last]).hex(",", 8).split(",")
     suffixes: list[str] = []
     for tortoise, snapshot, lo, hi in _runs(nodes, first, last):
         cell = ",%016x," % tortoise
@@ -346,8 +348,7 @@ def _csv_block(nodes, detected: Optional[int], first: int) -> str:
             suffixes.append(cell + ("0," if lo == detected else "1,"))
             lo += 1
         suffixes += repeat(cell + "0,", hi - lo)
-    cells = [""] * (3 * len(node_hex))
-    cells[0::3] = _hop_labels(first)[: len(node_hex)]
+    cells = _hop_labels(first)[: 3 * len(node_hex)]
     cells[1::3] = node_hex
     cells[2::3] = suffixes
     return "".join(cells)
@@ -363,12 +364,6 @@ def _runs(nodes, first: int, last: int) -> Iterator[tuple[int, bool, int, int]]:
         hi = min(2 * p, last + 1)
         yield nodes[p - 1], lo == p, lo, hi
         lo = hi
-
-
-def _outcome_label(trace: SimTrace) -> str:
-    if trace.at_hop is None:
-        return trace.outcome.value
-    return f"{trace.outcome.value}({trace.at_hop})"
 
 
 def _path(

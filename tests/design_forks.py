@@ -3,7 +3,8 @@ one-path alternative it replaces, in one process.
 
     PYTHONPATH=src:tests python tests/design_forks.py
 
-Each alternative is made by swapping a module global for the run, so the
+Each alternative is made by swapping a module global for the run, or, for
+Design 7, by the same tuples in a graph not marked as a path, so the
 library itself has no switch. Figures are medians of seven timeit repeats.
 """
 
@@ -18,7 +19,7 @@ import tracemalloc
 from loopdetect import analysis, cli, simulator
 from loopdetect.simulator import (
     FunctionalGraph, Outcome, SimTrace, _draw_distinct_ids, _graph, _rho_by_position,
-    build_chain, build_within_reach, simulate, trace_csv,
+    build_chain, build_rho, build_within_reach, simulate, trace_csv,
 )
 from oracles import distinct_ids_one_at_a_time
 
@@ -143,24 +144,24 @@ def shared_positions():
               f"positions, {times[own_range] * 1e3:.2f} ms with ints of its own")
 
 
-def receiver_stream():
+def receiver_slices():
     walks = {
         "latency's (0, 32767) walk": (_rho_by_position(0, 32767), 0),
         "a 1000-node chain": (build_chain(1000, seed=1), 0),
+        "a (5000, 2) rho": (build_rho(5000, 2, seed=1), 0),
         "the walk from node 60000 of a (60000, 20) rho": (_rho_by_position(60000, 20), 60000),
     }
-    stream = simulator._stream
     for label, (graph, start) in walks.items():
-        succ = graph.succ
-
-        def chase(ids, last, pos):  # _stream's signature, so either serves
-            return simulator._chase(ids, succ, pos)
-
+        # the same tuples from the constructor: a graph not marked as a path, which simulate chases
+        chased_graph = FunctionalGraph(graph.ids, graph.succ)
         hops = len(simulate(graph, start).nodes)
-        times = swapped_medians(lambda: simulate(graph, start), max(1, 100000 // hops), "_stream",
-                                (stream, chase))
-        print(f"7. {label}, {hops} hops: {times[stream] / hops * 1e9:.0f} ns per hop as streamed, "
-              f"{times[chase] / hops * 1e9:.0f} ns chased")
+        number = max(1, 100000 // hops)
+        sliced, chased = [], []
+        for _ in range(7):  # taking turns, so that host drift hits both alike
+            sliced.append(timeit.timeit(lambda: simulate(graph, start), number=number) / number)
+            chased.append(timeit.timeit(lambda: simulate(chased_graph, start), number=number) / number)
+        print(f"7. {label}, {hops} hops: {statistics.median(sliced) / hops * 1e9:.0f} ns per hop "
+              f"taken by slices, {statistics.median(chased) / hops * 1e9:.0f} ns chased")
 
 
 def fresh(call, out):
@@ -229,6 +230,6 @@ if __name__ == "__main__":
     one_call_draw()
     position_ids()
     shared_positions()
-    receiver_stream()
+    receiver_slices()
     plain_argv()
     direct_write()

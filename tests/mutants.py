@@ -5,7 +5,8 @@ see whether Tier-1 (without criterion 7, the 130 s codec roundtrip) fails.
 
 Each mutant replaces one exact text, which must occur once in its file, in
 a temporary copy of ``src/``. The suite then runs against that copy under
-``-x``, with TIMEOUT seconds per mutant, and the mutant is KILLED if the
+``-x``, with TIMEOUT seconds per mutant, the mutated module's own test file
+first, so that most mutants die within seconds; the mutant is KILLED if the
 suite fails or runs out of time, SURVIVED if it passes. The unmutated copy runs
 first and must pass. Exits 1 if a mutant survived. Standard library only
 (the suite itself needs pytest and hypothesis); not a Tier-1 test.
@@ -34,23 +35,25 @@ MUTANTS = [
     ("saturation cut at 8", "analysis.py", "_SATURATION_PAIRS = 80", "_SATURATION_PAIRS = 8"),
     ("hop labels start one early", "simulator.py",
      "range(first + 1, first + _CSV_BLOCK + 1)", "range(first, first + _CSV_BLOCK)"),
+    ("node cells written over the hop labels", "simulator.py",
+     "cells[1::3] = node_hex", "cells[0::3] = node_hex"),
     # the tortoise derived from the nodes
     ("repeated tortoise marked as a snapshot", "simulator.py",
      'suffixes += repeat(cell + "0,", hi - lo)', 'suffixes += repeat(cell + "1,", hi - lo)'),
     ("derived tortoise index one hop early", "simulator.py", "yield nodes[p - 1]", "yield nodes[p - 2]"),
     ("detecting power-of-two hop flagged as a snapshot", "simulator.py",
      '("0," if lo == detected else "1,")', '"1,"'),
-    # the receiver stream, for the paths the builders mark
+    # the receivers by slices, for the paths the builders mark
     ("builder graph left unmarked", "simulator.py",
      '_set(graph, "_is_path", True)', '_set(graph, "_is_path", False)'),
     ("explicit-id path left unmarked", "simulator.py",
      "return _graph(node_ids, succ)", "return FunctionalGraph(node_ids, succ)"),
     ("constructor's graph marked as a path", "simulator.py",
      "_is_path = False", "_is_path = True"),
-    ("cycle starts one node late", "simulator.py",
-     "cycle(_iter_from(ids, last))", "cycle(_iter_from(ids, last + 1))"),
-    ("stream starts at the current node", "simulator.py",
-     "_iter_from(ids, pos + 1)", "_iter_from(ids, pos)"),
+    ("laps of the cycle start one node late", "simulator.py",
+     "ids[last:] * laps", "ids[last + 1:] * laps"),
+    ("a segment ending on the cycle leaves its position one node late", "simulator.py",
+     "last + rest - 1", "last + rest"),
     ("short-segment test < to <=", "simulator.py", "if len(segment) < want:", "if len(segment) <= want:"),
     # the term-wise switch at its lowest value that holds (6)
     ("term-wise switch 6 to 5", "analysis.py", "_TERMWISE_MAX_BITS = 6", "_TERMWISE_MAX_BITS = 5"),
@@ -108,12 +111,17 @@ def copy_src(dest: Path, mutant=None) -> None:
         path.write_text(path.read_text().replace(text, replacement))
 
 
-def run_suite(src: Path, workdir: Path) -> str:
-    """PASSED, FAILED or TIMEOUT for Tier-1 without criterion 7 on ``src``."""
+def run_suite(src: Path, workdir: Path, module: str = "") -> str:
+    """PASSED, FAILED or TIMEOUT for Tier-1 without criterion 7 on ``src``,
+    ``tests/test_<module>.py`` first, then the other test files in file
+    order. The files are named one by one: pytest runs named files in the
+    order given, but a file named beside its directory in the directory's."""
+    files = sorted((ROOT / "tests").glob("test_*.py"))
+    files.sort(key=lambda path: path.name != f"test_{module}.py")  # stable: the rest keep their order
     command = [
         sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
         "--deselect", "tests/test_acceptance.py::test_criterion_7_codec_roundtrip_cross_product",
-        str(ROOT / "tests"),
+        *map(str, files),
     ]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -131,7 +139,7 @@ def main() -> int:
         scratch = Path(scratch)
         src = scratch / "src"
         copy_src(src)
-        started = time.monotonic()
+        started = begun = time.monotonic()
         clean = run_suite(src, scratch)
         print(f"unmutated: {clean} in {time.monotonic() - started:.0f} s", flush=True)
         if clean != "PASSED":
@@ -139,11 +147,12 @@ def main() -> int:
         for mutant in MUTANTS:
             copy_src(src, mutant)
             started = time.monotonic()
-            result = run_suite(src, scratch)
+            result = run_suite(src, scratch, Path(mutant[1]).stem)
             verdict = "SURVIVED" if result == "PASSED" else "KILLED"
             survivors += verdict == "SURVIVED"
             note = " (time limit)" if result == "TIMEOUT" else ""
             print(f"{verdict}{note} in {time.monotonic() - started:.0f} s: {mutant[0]}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {survivors} survived, in {time.monotonic() - begun:.0f} s")
     return 1 if survivors else 0
 
 

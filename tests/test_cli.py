@@ -97,6 +97,8 @@ def test_simulate_seed_changes_ids(capsys):
         ["collisions", "--bits", "129"],
         ["collisions", "--bits", "24", "--lengths", "16", "0"],
         ["header", "encode", "--out", "a\x00b"],
+        ["header", "encode", "--hops", 513],  # an in-process argv with a token that is not a str
+        ["header", "decode", None],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -759,6 +761,21 @@ def test_other_argv_is_left_to_argparse(argv):
 def test_a_token_that_is_not_a_str_is_left_to_argparse(argv, text, token):
     assert cli._plain([text if t == "X" else t for t in argv]) is not None
     assert cli._plain([token if t == "X" else t for t in argv]) is None
+
+
+# main then refuses it, before argparse reads it: exit 64 after the usage
+# line, naming the token's place and type, never a TypeError traceback
+@pytest.mark.parametrize("argv, message", [
+    (["header", "encode", "--hops", 513], "argv[3] must be a str, got int"),
+    (["header", "decode", None], "argv[2] must be a str, got NoneType"),
+    (["simulate", "--mu", "3", "--lambda", b"5"], "argv[4] must be a str, got bytes"),
+    ([7], "argv[0] must be a str, got int"),
+    (("header", "encode", "--hops", 1.5, "--out", "OUT"), "argv[3] must be a str, got float"),
+])
+def test_a_token_that_is_not_a_str_exits_64_naming_it(tmp_path, capsys, argv, message):
+    code, out, err, written = outcome(capsys, tmp_path, argv)
+    assert code == ("SystemExit", 64) and out == "" and written is None
+    assert err == cli._build_parser().format_usage() + f"loopdetect: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", PLAIN)

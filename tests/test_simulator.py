@@ -711,8 +711,8 @@ def test_chain_cut_to_reach_keeps_the_trace(length, outcome):
 @st.composite
 def walks(draw):
     """A random graph of at most 64 nodes, or a rho or chain of at most 300,
-    whose walks past hop 16 stream slices of the ids; maybe with a duplicate
-    id, in a copy that chases or, on a path, in one marked to stream; and a start."""
+    whose walks past hop 16 take slices of the ids; maybe with a duplicate
+    id, in a copy that chases or, on a path, in one marked as one; and a start."""
     path = draw(st.booleans())
     if path:
         n = draw(st.integers(1, 300))
@@ -813,6 +813,9 @@ def test_trace_csv_is_the_same_in_every_cache_state(csv_cases):
     for trace, expected in csv_cases:
         assert trace_csv(trace) == expected  # warm
     assert _hop_labels.cache_info().currsize == 16 == MAX_HOPS // 4096 + 1
+    # each render copies its block's shared cell list and leaves it as made
+    for first in range(0, MAX_HOPS, 4096):
+        assert _hop_labels(first) == _hop_labels.__wrapped__(first)
     _hop_labels.cache_clear()
     for long, short in zip(reversed(csv_cases), csv_cases):
         assert trace_csv(long[0]) == long[1]
@@ -915,7 +918,7 @@ def test_position_table_grows_safely_under_threads(monkeypatch):
     assert 0 < len(table) < 3000 and table == tuple(range(len(table)))
 
 
-# -- the receivers a walk streams ------------------------------------------
+# -- the receivers a walk takes by slices -----------------------------------
 
 
 def _reversed(graph):
@@ -929,12 +932,12 @@ def _reversed(graph):
 
 def _walk_by(source, graph, start=0):
     """simulate(graph, start) with the receiver source other than ``source``
-    (``_stream`` or ``_chase``) replaced by a raiser; the walk must get past
+    (``_take`` or ``_chase``) replaced by a raiser; the walk must get past
     hop 16, where one of them serves it."""
-    other = "_chase" if source == "_stream" else "_stream"
+    other = "_chase" if source == "_take" else "_take"
 
-    def refuse(*args):
-        raise AssertionError(f"{other} called from position {args[-1]}")
+    def refuse(*args):  # both take (ids, last or succ, pos, ...)
+        raise AssertionError(f"{other} called from position {args[2]}")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, other, refuse)
@@ -948,9 +951,9 @@ def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
     # whatever its shape, and meets the same ids
     rho, chain = build_rho(20, 30, seed=1), build_chain(40, ids=range(40))
     for graph in (rho, chain):
-        streamed = _walk_by("_stream", graph)
+        sliced = _walk_by("_take", graph)
         for twin in (FunctionalGraph(graph.ids, graph.succ), dataclasses.replace(graph)):
-            assert _walk_by("_chase", twin) == streamed
+            assert _walk_by("_chase", twin) == sliced
     for graph, start in ((_reversed(rho), len(rho) - 1), (_reversed(chain), len(chain) - 1),
                          (inject_duplicate(rho, 3, 40), 0)):
         _walk_by("_chase", graph, start)
@@ -958,12 +961,12 @@ def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
     start = max(range(50), key=lambda node: len(simulate(random_graph, node).nodes))
     _walk_by("_chase", random_graph, start)
     # nodes 0..9 point anywhere, but the walk from 25 meets only the path
-    # 25 -> ... -> 39 -> 20, so a stream of it meets what the chase meets
+    # 25 -> ... -> 39 -> 20, so slices of it meet what the chase meets
     ids, path = tuple(range(100, 140)), tuple(range(1, 40)) + (20,)
     scrambled = FunctionalGraph(ids, (5, 0, 9, 9, None, 3, 2, 1, 0, 4) + path[10:])
-    assert _walk_by("_chase", scrambled, 25) == _walk_by("_stream", simulator._graph(ids, path), 25)
-    streamed = list(islice(simulator._stream(ids, 20, 25), 200))
-    assert streamed == list(islice(simulator._chase(ids, scrambled.succ, 25), 200))
+    assert _walk_by("_chase", scrambled, 25) == _walk_by("_take", simulator._graph(ids, path), 25)
+    taken, _ = simulator._take(ids, 20, 25, 200)
+    assert taken == tuple(islice(simulator._chase(ids, scrambled.succ, 25), 200))
 
 
 @pytest.mark.parametrize(
@@ -974,9 +977,9 @@ def test_path_shaped_walks_stream_slices_of_ids_and_others_chase():
 )
 def test_a_walk_on_the_last_node_at_hop_16_streams(graph, start):
     # the last node points back, or to a terminal, and the walk still
-    # streams: a builder's path streams from every position
+    # takes slices: a builder's path is taken by slices from every position
     assert start + 16 == len(graph) - 1
-    trace = _walk_by("_stream", graph, start)
+    trace = _walk_by("_take", graph, start)
     assert trace == _matches_the_oracle(graph, start) and trace.at_hop > 16
 
 
@@ -1002,16 +1005,16 @@ BUILT_WALKS = {
 @pytest.mark.parametrize("name", BUILT_WALKS)
 def test_every_builder_path_streams_and_its_copies_chase_alike(name):
     graph, start = BUILT_WALKS[name]
-    streamed = _walk_by("_stream", graph, start)
-    assert streamed == _matches_the_oracle(graph, start)
-    assert _walk_by("_chase", FunctionalGraph(graph.ids, graph.succ), start) == streamed
+    sliced = _walk_by("_take", graph, start)
+    assert sliced == _matches_the_oracle(graph, start)
+    assert _walk_by("_chase", FunctionalGraph(graph.ids, graph.succ), start) == sliced
     # a duplicate of the hop-16 tortoise at the last receiver: a copy with
-    # it chases, and meets what a stream of the same tuples meets
-    nodes = streamed.nodes
+    # it chases, and meets what slices of the same tuples meet
+    nodes = sliced.nodes
     position = graph.ids.index
     duplicate = inject_duplicate(graph, position(nodes[15]), position(nodes[-1]))
     chased = _walk_by("_chase", duplicate, start)
-    assert chased == _walk_by("_stream", simulator._graph(duplicate.ids, duplicate.succ), start)
+    assert chased == _walk_by("_take", simulator._graph(duplicate.ids, duplicate.succ), start)
     assert chased == _matches_the_oracle(duplicate, start)
 
 
@@ -1019,11 +1022,28 @@ def test_every_builder_path_streams_and_its_copies_chase_alike(name):
 def test_stream_meets_the_ids_a_successor_chase_meets(mu, lam):
     graph, want = build_rho(mu, lam, seed=mu + lam), 3 * (mu + lam) + 2
     for pos in range(mu + lam):
-        streamed = list(islice(simulator._stream(graph.ids, mu, pos), want))
-        assert streamed == list(islice(simulator._chase(graph.ids, graph.succ, pos), want))
+        taken, _ = simulator._take(graph.ids, mu, pos, want)
+        assert taken == tuple(islice(simulator._chase(graph.ids, graph.succ, pos), want))
     chain = build_chain(mu + lam, seed=mu)
     for pos in range(mu + lam):
-        assert list(simulator._stream(chain.ids, None, pos)) == list(chain.ids[pos + 1 :])
+        assert simulator._take(chain.ids, None, pos, want)[0] == chain.ids[pos + 1 :]
+
+
+def test_take_is_a_successor_chase_on_every_small_path():
+    # every rho with mu, lam <= 12 and every chain of up to 12 nodes, from
+    # every position, for 1 to 40 receivers: none, one and several laps of
+    # the cycle, a segment that ends on the cycle's last node (rest == 0),
+    # and a terminal mid-segment; the position returned goes on the chase
+    paths = [(build_rho(mu, lam, ids=range(mu + lam)), mu) for mu in range(13) for lam in range(1, 13)]
+    paths += [(build_chain(n, ids=range(n)), None) for n in range(1, 13)]
+    for graph, last in paths:
+        for pos in range(len(graph)):
+            chased = tuple(islice(simulator._chase(graph.ids, graph.succ, pos), 80))
+            for want in range(1, 41):
+                taken, end = simulator._take(graph.ids, last, pos, want)
+                assert taken == chased[:want], (graph.succ, pos, want)
+                if len(taken) == want:
+                    assert simulator._take(graph.ids, last, end, 40)[0] == chased[want : want + 40]
 
 
 @pytest.mark.parametrize("mu", [0, 1, 16, 17, 4095, 4096, 32767, 32768, 32769, 65535])
@@ -1033,21 +1053,21 @@ def test_stream_and_chase_walk_alike_at_the_snapshot_edges(mu):
         graph = _rho_by_position(mu, lam)
         n = len(graph)
         for start in {0, n // 2, max(n - 2, 0)}:  # n - 2: the next hop is the last node
-            streamed = simulate(graph, start)
-            assert simulate(_reversed(graph), n - 1 - start) == streamed
+            sliced = simulate(graph, start)
+            assert simulate(_reversed(graph), n - 1 - start) == sliced
 
 
 @pytest.mark.parametrize("length", [65535, 65536, 65537, 65538, 70_000])
 def test_stream_and_chase_walk_alike_on_chains_across_the_counter(length):
     graph = build_chain(length, seed=length)
     for start in (0, 1, 2):
-        streamed = simulate(graph, start)
-        assert simulate(_reversed(graph), length - 1 - start) == streamed
-        assert len(streamed.nodes) == min(length - 1 - start, MAX_HOPS)
+        sliced = simulate(graph, start)
+        assert simulate(_reversed(graph), length - 1 - start) == sliced
+        assert len(sliced.nodes) == min(length - 1 - start, MAX_HOPS)
 
 
 def test_walks_leave_the_position_table_as_they_find_it(monkeypatch):
-    # only the builders grow the table; a walk, streamed or chased, reads none of it
+    # only the builders grow the table; a walk, by slices or chased, reads none of it
     graphs = [build_chain(70_000, seed=5), _rho_by_position(0, 32767), random_functional_graph(3000, 0.0, seed=1)]
     table = tuple(range(10))
     monkeypatch.setattr(simulator, "_positions", table)
